@@ -123,7 +123,6 @@ def _run_config(args) -> RunConfig:
         "max_iter": getattr(args, "max_iter", None),
         "pool": getattr(args, "pool", None),
         "projections_path": getattr(args, "proj", None),
-        "seed": getattr(args, "seed", None),
         "threads": getattr(args, "threads", None),
     }
     merged = {**base, **{k: v for k, v in overrides.items() if v is not None}}
@@ -298,7 +297,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ablation", action="append", choices=ABLATIONS, default=None)
     p.add_argument("--pool", choices=POOL_KINDS, default=None)
     p.add_argument("--proj", help="projections index file or directory")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--threads", type=int, default=None, help="0 = auto")
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .correlation import MECHANISMS, OT
 from .errors import ConfigError
@@ -38,7 +38,6 @@ class RunConfig:
     ablations: frozenset[str] = field(default_factory=frozenset)
     pool: str = POOL_SOFT
     projections_path: str | None = None
-    seed: int = 0
     threads: int = 0
 
     def __post_init__(self):
@@ -61,9 +60,6 @@ class RunConfig:
         return SinkhornConfig(
             sharpness=self.sharpness, tol=self.tol, max_iter=self.max_iter
         )
-
-    def with_mechanism(self, mechanism: str) -> "RunConfig":
-        return replace(self, mechanism=mechanism)
 
     def resolved_threads(self) -> int:
         """The worker count to use: explicit value, else env var, else CPU count."""

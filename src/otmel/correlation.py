@@ -95,14 +95,14 @@ class AssignmentResult:
 
     ``a`` is the n x m assignment matrix (rows: destination elements,
     columns: source elements), ``g = a @ h`` the transported features.
-    ``logits`` holds the raw scaled scores in attention mode and the
-    scaling kernel in transport mode. ``plan`` carries solver diagnostics
-    in transport mode and is None otherwise.
+    ``logits`` holds the raw scaled scores in attention mode (the student
+    logits of distillation) and is None in transport mode. ``plan``
+    carries solver diagnostics in transport mode and is None otherwise.
     """
 
     a: np.ndarray
     g: np.ndarray
-    logits: np.ndarray
+    logits: np.ndarray | None
     mechanism: str
     plan: TransportPlan | None = None
 
@@ -181,9 +181,8 @@ def ot_assign(
     q, k, h = project(dst, src, proj)
     cost = cosine_cost(q, k)
     plan = sinkhorn(cost, Marginals.uniform(cost.n, cost.m), config)
-    kernel = np.exp(-config.sharpness * cost.data)
     return AssignmentResult(
-        a=plan.data, g=plan.data @ h, logits=kernel, mechanism=OT, plan=plan
+        a=plan.data, g=plan.data @ h, logits=None, mechanism=OT, plan=plan
     )
 
 

@@ -116,7 +116,12 @@ def unimodal_score(
     Row 0 of each matrix is its summary row.
     """
     result = assign(entity_side, mention_side, proj, mechanism, config)
-    pooled = stack_pool([result.g], pool)
+    return _unimodal_value(result.g, mention_side, entity_side, pool)
+
+
+def _unimodal_value(g, mention_side, entity_side, pool) -> float:
+    """The unimodal score from mention features already transported by ``g``."""
+    pooled = stack_pool([g], pool)
     t_m = mention_side.summary
     t_e = entity_side.summary
     return float(0.5 * (pooled @ t_e + t_m @ t_e))
@@ -127,7 +132,9 @@ class Scorer:
 
     Per-record interactions and pooled vectors are cached by record
     object, so ranking a mention against many candidates reuses the
-    per-record work. Precompute entity caches before fanning scoring out
+    per-record work. Each entry keeps its record alive and is used only
+    for that same object, so a recycled ``id()`` never returns another
+    record's result. Precompute entity caches before fanning scoring out
     to threads; cached lookups are then read-only.
     """
 
@@ -135,8 +142,8 @@ class Scorer:
         self.projections = projections
         self.config = config
         self._solver_config = config.sinkhorn_config()
-        self._interactions: dict[int, RecordInteraction] = {}
-        self._pooled: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._interactions: dict[int, tuple[object, RecordInteraction]] = {}
+        self._pooled: dict[int, tuple[object, tuple[np.ndarray, np.ndarray]]] = {}
 
     @property
     def uses_fused(self) -> bool:
@@ -147,22 +154,20 @@ class Scorer:
         return ABLATION_NO_UNIMODAL not in self.config.ablations
 
     def interaction(self, record) -> RecordInteraction:
-        key = id(record)
-        found = self._interactions.get(key)
-        if found is None:
+        entry = self._interactions.get(id(record))
+        if entry is None or entry[0] is not record:
             found = interact_record(
                 record, self.projections, self.config.mechanism, self._solver_config
             )
-            self._interactions[key] = found
-        return found
+            entry = self._interactions[id(record)] = (record, found)
+        return entry[1]
 
     def pooled(self, record) -> tuple[np.ndarray, np.ndarray]:
-        key = id(record)
-        found = self._pooled.get(key)
-        if found is None:
+        entry = self._pooled.get(id(record))
+        if entry is None or entry[0] is not record:
             found = pooled_pair(record, self.interaction(record), self.config.pool)
-            self._pooled[key] = found
-        return found
+            entry = self._pooled[id(record)] = (record, found)
+        return entry[1]
 
     def warm(self, records) -> None:
         """Populate the per-record caches (call before threaded scoring)."""

@@ -6,7 +6,11 @@ compares a transport plan (teacher, held constant) against attention
 logits (student) through row- and column-wise KL divergences. The toy
 trainer descends these objectives over the projection tables with central
 finite differences; it is meant for small synthetic datasets only and
-guards its input sizes accordingly.
+guards its input sizes accordingly. Its batch objective keeps one part per
+assignment site (the site's assignments, the value the matching losses
+read from it, and its distillation term), so a probe that perturbs one
+site rebuilds only that site's part, and a probe that moves only ``w_h``
+reuses the site's cached assignment matrices.
 """
 
 from __future__ import annotations
@@ -18,9 +22,12 @@ import numpy as np
 from .config import ABLATION_NO_FUSED, ABLATION_NO_UNIMODAL, RunConfig
 from .correlation import (
     ATTENTION,
+    CROSS_MODAL_SITES,
     OT,
     PIPELINE_SITES,
     REVERSE_UNIMODAL_SITES,
+    UNIMODAL_SITES,
+    AssignmentResult,
     AssignmentSite,
     ProjectionTable,
     assign,
@@ -29,9 +36,9 @@ from .correlation import (
 )
 from .data_io import Dataset
 from .errors import ConfigError, DimensionError, NonFiniteError
-from .matching import Scorer, stack_pool
+from .matching import Scorer, _unimodal_value, stack_pool
 from .ot import Marginals, sinkhorn
-from .types import FeatureMatrix, MentionRecord, ProjectionSet
+from .types import FeatureMatrix, ProjectionSet
 
 
 def _log_softmax(x: np.ndarray, axis: int) -> np.ndarray:
@@ -306,173 +313,132 @@ class TraceRow:
     total: float
 
 
+@dataclass(frozen=True)
+class _Part:
+    """One assignment site's share of the batch objective under ``proj``.
+
+    ``assignments`` holds one result per leg of the site. ``value`` is
+    what the matching losses read from the site: the stacked pooled
+    vectors of a cross-modal site (one row per mention or gold), the
+    mention-by-gold score matrix of a unimodal site, or None for a site
+    that is only distilled. ``kd`` is the site's distillation term.
+    """
+
+    proj: ProjectionSet
+    assignments: list[AssignmentResult]
+    value: np.ndarray | None
+    kd: float
+
+
 class _BatchObjective:
     """The batch objective as a function of one site's override.
 
-    All per-site intermediate results are cached at construction, so a
-    finite-difference probe that perturbs a single site only recomputes
-    the pieces downstream of that site. Teacher plans are computed once
-    here and held constant across probes, which is what makes the
-    distillation term a pure student-side objective within a step.
+    Construction builds one part per scored or distilled site. A probe
+    that overrides one site rebuilds only that site's part, and
+    ``components()`` and ``loss_with()`` both combine parts through
+    ``_row``, so they sum in the same order. A probe whose ``w_q`` and
+    ``w_k`` equal the cached ones moves no assignment: it transports its
+    new values along the cached assignment matrices and keeps the cached
+    kd term. Teacher plans are computed once here and held constant
+    across probes, which makes the distillation term a pure student-side
+    objective within a step; the student logits are the attention logits
+    of the part's own assignments.
     """
 
     def __init__(self, mentions, golds, table, run: RunConfig, kd_sites=()):
         self.mentions = list(mentions)
         self.golds = list(golds)
-        self.table = table
         self.run = run
         self.solver = run.sinkhorn_config()
         self.use_fused = ABLATION_NO_FUSED not in run.ablations
         self.use_unimodal = ABLATION_NO_UNIMODAL not in run.ablations
         self.kd_sites = tuple(kd_sites)
 
-        # Assignment matrices are cached so probes that only move w_h (which
-        # cannot change any assignment) skip the solves entirely.
-        self._legs: dict[tuple[int, AssignmentSite], AssignmentResult] = {}
-        self._uni_plans: dict[tuple[str, int, int], np.ndarray] = {}
-        if self.use_fused:
-            self.m_text_pool = [self._pooled_leg(m, "text") for m in self.mentions]
-            self.m_vis_pool = [self._pooled_leg(m, "visual") for m in self.mentions]
-            self.e_text_pool = [self._pooled_leg(e, "text") for e in self.golds]
-            self.e_vis_pool = [self._pooled_leg(e, "visual") for e in self.golds]
-            self.f = self._fused_matrix(
-                self.m_text_pool, self.m_vis_pool, self.e_text_pool, self.e_vis_pool
-            )
-        else:
-            self.f = None
+        entities = _unique_by_identity(self.golds)
+        slot = {id(e): u for u, e in enumerate(entities)}
+        self._gold_slots = [slot[id(g)] for g in self.golds]
+        scored = (CROSS_MODAL_SITES if self.use_fused else ()) + (
+            UNIMODAL_SITES if self.use_unimodal else ()
+        )
+        sites = tuple(dict.fromkeys(scored + self.kd_sites))
+        # The (destination, source) legs of each site, and which of them
+        # are distilled; a scored unimodal site scores every distinct gold
+        # against every mention and distils the gold pairs.
+        self._pairs = distill_instances(self.mentions, self.golds, sites)
+        self._kd_legs = {site: range(len(legs)) for site, legs in self._pairs.items()}
         if self.use_unimodal:
-            self.t = self._uni_matrix(
-                "text", table[AssignmentSite.MENTION_TO_ENTITY_TEXT], record=True
-            )
-            self.v = self._uni_matrix(
-                "visual", table[AssignmentSite.MENTION_TO_ENTITY_VISUAL], record=True
-            )
-        else:
-            self.t = None
-            self.v = None
-
-        if self.kd_sites:
-            self._instances = distill_instances(self.mentions, self.golds, self.kd_sites)
-            self._teachers = {
-                site: [
-                    _teacher_plan(dst, src, table[site], self.solver)
-                    for dst, src in pairs
+            b = len(self.mentions)
+            for site in UNIMODAL_SITES:
+                attr = _PAIR_LEGS[site][0]
+                self._pairs[site] = [
+                    (getattr(e, attr), getattr(m, attr))
+                    for e in entities
+                    for m in self.mentions
                 ]
-                for site, pairs in self._instances.items()
-            }
-            self.kd_terms = {
-                site: self._site_kd(site, table[site]) for site in self.kd_sites
-            }
+                self._kd_legs[site] = [
+                    u * b + i for i, u in enumerate(self._gold_slots)
+                ]
+        self._teachers = {
+            site: [
+                _teacher_plan(*self._pairs[site][k], table[site], self.solver)
+                for k in self._kd_legs[site]
+            ]
+            for site in self.kd_sites
+        }
+        self.parts = {site: self._part(site, table[site]) for site in sites}
+
+    def _part(self, site, proj: ProjectionSet, base: _Part | None = None) -> _Part:
+        pairs = self._pairs[site]
+        if (
+            base is not None
+            and np.array_equal(proj.w_q, base.proj.w_q)
+            and np.array_equal(proj.w_k, base.proj.w_k)
+        ):
+            assignments, kd = base.assignments, base.kd
+            gs = [
+                r.a @ (src.data @ proj.w_h) for r, (_, src) in zip(assignments, pairs)
+            ]
         else:
-            self.kd_terms = {}
-
-    # -- cached pieces
-
-    def _cross_site(self, record, dst_attr) -> AssignmentSite:
-        is_mention = isinstance(record, MentionRecord)
-        if dst_attr == "text":
-            return (
-                AssignmentSite.MENTION_VISUAL_TO_TEXT
-                if is_mention
-                else AssignmentSite.ENTITY_VISUAL_TO_TEXT
+            assignments = [
+                assign(dst, src, proj, self.run.mechanism, self.solver)
+                for dst, src in pairs
+            ]
+            gs = [r.g for r in assignments]
+            teachers = zip(self._teachers.get(site, ()), self._kd_legs[site])
+            kd = float(
+                sum(kd_pair_loss(plan, assignments[k].logits) for plan, k in teachers)
             )
-        return (
-            AssignmentSite.MENTION_TEXT_TO_VISUAL
-            if is_mention
-            else AssignmentSite.ENTITY_TEXT_TO_VISUAL
-        )
+        return _Part(proj, assignments, self._value(site, pairs, gs), kd)
 
-    @staticmethod
-    def _sides(record, dst_attr):
-        dst = getattr(record, dst_attr)
-        src = getattr(record, "visual" if dst_attr == "text" else "text")
-        return dst, src
-
-    def _leg_result(self, record, dst_attr) -> AssignmentResult:
-        site = self._cross_site(record, dst_attr)
-        key = (id(record), site)
-        result = self._legs.get(key)
-        if result is None:
-            dst, src = self._sides(record, dst_attr)
-            result = assign(dst, src, self.table[site], self.run.mechanism, self.solver)
-            self._legs[key] = result
-        return result
-
-    def _pooled_leg(self, record, dst_attr) -> np.ndarray:
-        g = self._leg_result(record, dst_attr).g
-        return stack_pool([getattr(record, dst_attr), g], self.run.pool)
-
-    def _transported_g(self, record, dst_attr, proj, changed) -> np.ndarray:
-        if changed == "w_h":
-            a = self._leg_result(record, dst_attr).a
-            _, src = self._sides(record, dst_attr)
-            return a @ (src.data @ proj.w_h)
-        dst, src = self._sides(record, dst_attr)
-        return assign(dst, src, proj, self.run.mechanism, self.solver).g
-
-    def _fused_matrix(self, m_text, m_vis, e_text, e_vis) -> np.ndarray:
-        return np.array(m_text) @ np.array(e_text).T + np.array(m_vis) @ np.array(
-            e_vis
-        ).T
-
-    def _uni_cell(self, attr, m, e, proj, changed, record) -> float:
-        m_mat = getattr(m, attr)
-        e_mat = getattr(e, attr)
-        if changed == "w_h":
-            a = self._uni_plans[(attr, id(m), id(e))]
-            g = a @ (m_mat.data @ proj.w_h)
-        else:
-            result = assign(e_mat, m_mat, proj, self.run.mechanism, self.solver)
-            g = result.g
-            if record:
-                self._uni_plans[(attr, id(m), id(e))] = result.a
-        pooled = stack_pool([g], self.run.pool)
-        t_m = m_mat.summary
-        t_e = e_mat.summary
-        return float(0.5 * (pooled @ t_e + t_m @ t_e))
-
-    def _uni_matrix(self, attr, proj, changed=None, record=False) -> np.ndarray:
-        b = len(self.mentions)
-        out = np.empty((b, b))
-        columns: dict[int, np.ndarray] = {}
-        for j, e in enumerate(self.golds):
-            col = columns.get(id(e))
-            if col is None:
-                col = np.array(
-                    [
-                        self._uni_cell(attr, m, e, proj, changed, record)
-                        for m in self.mentions
-                    ]
-                )
-                columns[id(e)] = col
-            out[:, j] = col
-        return out
-
-    def _site_kd(self, site, proj) -> float:
-        teachers = self._teachers[site]
-        pairs = self._instances[site]
-        return float(
-            sum(
-                kd_pair_loss(plan, _student_logits(dst, src, proj))
-                for plan, (dst, src) in zip(teachers, pairs)
+    def _value(self, site, pairs, gs) -> np.ndarray | None:
+        if site in CROSS_MODAL_SITES and self.use_fused:
+            pooled = np.array(
+                [stack_pool([dst, g], self.run.pool) for (dst, _), g in zip(pairs, gs)]
             )
-        )
+            is_mention = _CROSS_LEGS[site][0] == "mention"
+            return pooled if is_mention else pooled[self._gold_slots]
+        if site in UNIMODAL_SITES and self.use_unimodal:
+            grid = np.array(
+                [
+                    _unimodal_value(g, src, dst, self.run.pool)
+                    for (dst, src), g in zip(pairs, gs)
+                ]
+            ).reshape(-1, len(self.mentions))
+            # Contiguous like a filled matrix, so row sums add in the same order.
+            return np.ascontiguousarray(grid[self._gold_slots].T)
+        return None
 
-    # -- losses
-
-    def _combine(self, f, t, v) -> tuple[float, float, float, float]:
-        parts = [x for x in (f, t, v) if x is not None]
-        o = sum(parts) / len(parts)
-        l_f = contrastive_loss(f) if f is not None else 0.0
-        l_t = contrastive_loss(t) if t is not None else 0.0
-        l_v = contrastive_loss(v) if v is not None else 0.0
-        l_o = contrastive_loss(o)
-        return l_f, l_t, l_v, l_o
-
-    def components(self) -> TraceRow:
-        l_f, l_t, l_v, l_o = self._combine(self.f, self.t, self.v)
-        l_kd = float(sum(self.kd_terms.values()))
-        matching = l_o + l_f + l_t + l_v
+    def _row(self, parts: dict[AssignmentSite, _Part]) -> TraceRow:
+        f = t = v = None
+        if self.use_fused:
+            m_text, m_vis, e_text, e_vis = (parts[s].value for s in CROSS_MODAL_SITES)
+            f = m_text @ e_text.T + m_vis @ e_vis.T
+        if self.use_unimodal:
+            t, v = (parts[s].value for s in UNIMODAL_SITES)
+        present = [x for x in (f, t, v) if x is not None]
+        l_f, l_t, l_v = (0.0 if x is None else contrastive_loss(x) for x in (f, t, v))
+        l_o = contrastive_loss(sum(present) / len(present))
+        l_kd = float(sum(parts[s].kd for s in self.kd_sites))
         return TraceRow(
             step=0,
             l_f=l_f,
@@ -480,74 +446,21 @@ class _BatchObjective:
             l_v=l_v,
             l_o=l_o,
             l_kd=l_kd,
-            total=matching + l_kd,
+            total=l_o + l_f + l_t + l_v + l_kd,
         )
+
+    def components(self) -> TraceRow:
+        return self._row(self.parts)
 
     def loss(self) -> float:
         return self.components().total
 
-    def loss_with(
-        self, site: AssignmentSite, proj: ProjectionSet, changed: str | None = None
-    ) -> float:
-        """Objective value with one site's projections overridden.
-
-        ``changed`` optionally names the single matrix that differs from
-        the cached table ("w_q"/"w_k"/"w_h"); probes that only move w_h
-        then reuse the cached assignment matrices.
-        """
-        f, t, v = self.f, self.t, self.v
-        if self.use_fused and site in _CROSS_LEGS:
-            kind, dst_attr, _ = _CROSS_LEGS[site]
-            records = self.mentions if kind == "mention" else self.golds
-
-            pooled_cache: dict[int, np.ndarray] = {}
-
-            def pooled(record):
-                got = pooled_cache.get(id(record))
-                if got is None:
-                    got = stack_pool(
-                        [
-                            getattr(record, dst_attr),
-                            self._transported_g(record, dst_attr, proj, changed),
-                        ],
-                        self.run.pool,
-                    )
-                    pooled_cache[id(record)] = got
-                return got
-
-            new_pool = [pooled(r) for r in records]
-            m_text, m_vis, e_text, e_vis = (
-                self.m_text_pool,
-                self.m_vis_pool,
-                self.e_text_pool,
-                self.e_vis_pool,
-            )
-            if kind == "mention" and dst_attr == "text":
-                m_text = new_pool
-            elif kind == "mention":
-                m_vis = new_pool
-            elif dst_attr == "text":
-                e_text = new_pool
-            else:
-                e_vis = new_pool
-            f = self._fused_matrix(m_text, m_vis, e_text, e_vis)
-        elif self.use_unimodal and site is AssignmentSite.MENTION_TO_ENTITY_TEXT:
-            t = self._uni_matrix("text", proj, changed)
-        elif self.use_unimodal and site is AssignmentSite.MENTION_TO_ENTITY_VISUAL:
-            v = self._uni_matrix("visual", proj, changed)
-
-        l_f, l_t, l_v, l_o = self._combine(f, t, v)
-        total = l_o + l_f + l_t + l_v
-        if self.kd_sites:
-            terms = dict(self.kd_terms)
-            # Student logits depend on w_q/w_k only, so a w_h probe keeps
-            # the cached term.
-            if site in terms and changed != "w_h":
-                terms[site] = self._site_kd(site, proj)
-            # Replacing a key keeps its place, so this sums in the same site
-            # order as components() and an unchanged override is exact.
-            total += float(sum(terms.values()))
-        return total
+    def loss_with(self, site: AssignmentSite, proj: ProjectionSet) -> float:
+        """Objective value with one site's projections overridden."""
+        base = self.parts.get(site)
+        if base is None:
+            return self.loss()
+        return self._row({**self.parts, site: self._part(site, proj, base)}).total
 
 
 def _guard_sizes(dataset: Dataset, table: ProjectionTable) -> None:
@@ -581,9 +494,34 @@ def _training_run(run: RunConfig | None, objective: str) -> RunConfig:
 def _objective_state(dataset, table, train: ToyTrainConfig, run: RunConfig):
     mentions = list(dataset.mentions)
     if not mentions:
-        raise ConfigError("training needs at least one mention")
+        raise ConfigError("the batch objective needs at least one mention")
     golds = [dataset.gold_of(m) for m in mentions]
     return _BatchObjective(mentions, golds, table, run, train.distilled_sites())
+
+
+def _central_differences(state: _BatchObjective, table, coords, h: float):
+    grads = {}
+    for site, name, i, j in coords:
+        proj = table[site]
+        base = getattr(proj, name)
+        plus = base.copy()
+        plus[i, j] += h
+        minus = base.copy()
+        minus[i, j] -= h
+        up = state.loss_with(site, proj.replace(**{name: plus}))
+        down = state.loss_with(site, proj.replace(**{name: minus}))
+        grads[(site, name, i, j)] = (up - down) / (2.0 * h)
+    return grads
+
+
+def _every_coord(table, sites):
+    return [
+        (site, name, i, j)
+        for site in sites
+        for name in _MATRIX_NAMES
+        for i in range(table[site].dim)
+        for j in range(table[site].dim)
+    ]
 
 
 def fd_gradient(
@@ -603,26 +541,8 @@ def fd_gradient(
     _guard_sizes(dataset, table)
     state = _objective_state(dataset, table, train, run)
     if coords is None:
-        coords = [
-            (site, name, i, j)
-            for site in train.trainable_sites()
-            for name in _MATRIX_NAMES
-            for i in range(table[site].dim)
-            for j in range(table[site].dim)
-        ]
-    h = train.fd_step
-    grads = {}
-    for site, name, i, j in coords:
-        proj = table[site]
-        base = getattr(proj, name)
-        plus = base.copy()
-        plus[i, j] += h
-        minus = base.copy()
-        minus[i, j] -= h
-        up = state.loss_with(site, proj.replace(**{name: plus}), changed=name)
-        down = state.loss_with(site, proj.replace(**{name: minus}), changed=name)
-        grads[(site, name, i, j)] = (up - down) / (2.0 * h)
-    return grads
+        coords = _every_coord(table, train.trainable_sites())
+    return _central_differences(state, table, coords, train.fd_step)
 
 
 def batch_loss_report(
@@ -632,15 +552,10 @@ def batch_loss_report(
     objective: str = OBJECTIVE_OT,
 ) -> TraceRow:
     """All loss components of one batch under the given objective."""
-    if objective not in (OBJECTIVE_OT, OBJECTIVE_KD):
-        raise ConfigError(f"unknown objective {objective!r}")
-    run = _training_run(run, objective)
-    mentions = list(dataset.mentions)
-    if not mentions:
-        raise ConfigError("loss report needs at least one mention")
-    golds = [dataset.gold_of(m) for m in mentions]
-    kd_sites = PIPELINE_SITES if objective == OBJECTIVE_KD else ()
-    return _BatchObjective(mentions, golds, table, run, kd_sites).components()
+    train = ToyTrainConfig(steps=0, objective=objective)
+    return _objective_state(
+        dataset, table, train, _training_run(run, objective)
+    ).components()
 
 
 def toy_train(
@@ -663,32 +578,18 @@ def toy_train(
     state = _objective_state(dataset, table, train, run)
     trace = [replace(state.components(), step=0)]
     sites = train.trainable_sites()
-    h = train.fd_step
 
     for step in range(1, train.steps + 1):
-        updates: dict[AssignmentSite, ProjectionSet] = {}
-        for site in sites:
-            proj = table[site]
-            new_mats = {}
-            for name in _MATRIX_NAMES:
-                base = getattr(proj, name)
-                grad = np.empty_like(base)
-                for i in range(base.shape[0]):
-                    for j in range(base.shape[1]):
-                        plus = base.copy()
-                        plus[i, j] += h
-                        minus = base.copy()
-                        minus[i, j] -= h
-                        up = state.loss_with(
-                            site, proj.replace(**{name: plus}), changed=name
-                        )
-                        down = state.loss_with(
-                            site, proj.replace(**{name: minus}), changed=name
-                        )
-                        grad[i, j] = (up - down) / (2.0 * h)
-                new_mats[name] = base - train.lr * grad
-            updates[site] = proj.replace(**new_mats)
-        table = {**table, **updates}
+        grads = _central_differences(
+            state, table, _every_coord(table, sites), train.fd_step
+        )
+        mats = {
+            site: {name: getattr(table[site], name).copy() for name in _MATRIX_NAMES}
+            for site in sites
+        }
+        for (site, name, i, j), grad in grads.items():
+            mats[site][name][i, j] -= train.lr * grad
+        table = {**table, **{site: table[site].replace(**mats[site]) for site in sites}}
         state = _objective_state(dataset, table, train, run)
         trace.append(replace(state.components(), step=step))
 

@@ -261,3 +261,17 @@ class TestScorerCaches:
         s_ot = Scorer(identity_table, RunConfig(mechanism="ot")).scores(m, e)
         s_att = Scorer(identity_table, RunConfig(mechanism="attention")).scores(m, e)
         assert s_ot.s_o != s_att.s_o
+
+    def test_long_lived_scorer_ignores_recycled_record_ids(self, identity_table):
+        # Records built on the fly and dropped free their ids for reuse; a
+        # cache that trusted the id alone would hand a later record an
+        # earlier record's interactions.
+        rng = np.random.default_rng(3)
+        entity = make_record(rng, "entity", d=8)
+        scorer = Scorer(identity_table, RunConfig())
+        stale = 0
+        for _ in range(200):
+            mention = make_record(rng, "mention", d=8)
+            fresh = Scorer(identity_table, RunConfig()).scores(mention, entity)
+            stale += scorer.scores(mention, entity) != fresh
+        assert stale == 0

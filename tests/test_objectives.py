@@ -205,58 +205,87 @@ def tiny_dataset():
 
 
 @pytest.fixture(scope="module")
+def repeated_golds_dataset():
+    # Three mentions over two entities: one gold serves two mentions.
+    spec = FixtureSpec(
+        seed=13, d=4, n_entities=2, n_mentions=3, text_len=3, visual_len=3,
+        noise_sigma=0.2,
+    )
+    return make_dataset(spec)[0]
+
+
+@pytest.fixture(scope="module")
 def tiny_table():
     return default_projections(4, seed=1)
 
 
-class TestBatchObjectiveCaching:
-    def test_matches_naive_composition_ot(self, tiny_dataset, tiny_table):
-        run = _training_run(None, "ot")
-        mentions = list(tiny_dataset.mentions)
-        golds = [tiny_dataset.gold_of(m) for m in mentions]
-        state = _BatchObjective(mentions, golds, tiny_table, run)
-        naive = total_matching_loss(
-            batch_scores(mentions, golds, Scorer(tiny_table, run))
-        )
-        assert state.loss() == naive
+def batch_of(dataset):
+    mentions = list(dataset.mentions)
+    return mentions, [dataset.gold_of(m) for m in mentions]
 
-    def test_matches_naive_composition_kd(self, tiny_dataset, tiny_table):
+
+class TestBatchObjectiveCaching:
+    def test_matches_naive_composition_ot(
+        self, tiny_dataset, repeated_golds_dataset, tiny_table
+    ):
+        run = _training_run(None, "ot")
+        for dataset in (tiny_dataset, repeated_golds_dataset):
+            mentions, golds = batch_of(dataset)
+            state = _BatchObjective(mentions, golds, tiny_table, run)
+            naive = total_matching_loss(
+                batch_scores(mentions, golds, Scorer(tiny_table, run))
+            )
+            assert state.loss() == naive
+
+    def test_matches_naive_composition_kd(
+        self, tiny_dataset, repeated_golds_dataset, tiny_table
+    ):
         run = _training_run(None, "kd")
-        mentions = list(tiny_dataset.mentions)
-        golds = [tiny_dataset.gold_of(m) for m in mentions]
-        state = _BatchObjective(mentions, golds, tiny_table, run, PIPELINE_SITES)
-        pairs = distill_pairs(mentions, golds, tiny_table, run)
-        naive = total_loss_with_kd(
-            batch_scores(mentions, golds, Scorer(tiny_table, run)),
-            [p for site_pairs in pairs.values() for p in site_pairs],
-        )
-        assert state.loss() == pytest.approx(naive, abs=1e-12)
+        for dataset in (tiny_dataset, repeated_golds_dataset):
+            mentions, golds = batch_of(dataset)
+            state = _BatchObjective(mentions, golds, tiny_table, run, PIPELINE_SITES)
+            pairs = distill_pairs(mentions, golds, tiny_table, run)
+            naive = total_loss_with_kd(
+                batch_scores(mentions, golds, Scorer(tiny_table, run)),
+                [p for site_pairs in pairs.values() for p in site_pairs],
+            )
+            assert state.loss() == pytest.approx(naive, abs=1e-12)
 
     def test_override_with_same_projections_is_identity(self, tiny_dataset, tiny_table):
         run = _training_run(None, "kd")
-        mentions = list(tiny_dataset.mentions)
-        golds = [tiny_dataset.gold_of(m) for m in mentions]
+        mentions, golds = batch_of(tiny_dataset)
         state = _BatchObjective(mentions, golds, tiny_table, run, PIPELINE_SITES)
         base = state.loss()
         for site in AssignmentSite:
-            for name in (None, "w_q", "w_k", "w_h"):
-                assert state.loss_with(site, tiny_table[site], name) == base
+            assert state.loss_with(site, tiny_table[site]) == base
 
     def test_override_matches_full_recomputation(self, tiny_dataset, tiny_table):
-        run = _training_run(None, "ot")
-        mentions = list(tiny_dataset.mentions)
-        golds = [tiny_dataset.gold_of(m) for m in mentions]
-        state = _BatchObjective(mentions, golds, tiny_table, run)
-        rng = np.random.default_rng(0)
-        for site in PIPELINE_SITES:
-            for name in ("w_q", "w_k", "w_h"):
-                bumped = getattr(tiny_table[site], name).copy()
-                bumped[0, 0] += 0.37
-                proj = tiny_table[site].replace(**{name: bumped})
-                table2 = {**tiny_table, site: proj}
-                expected = _BatchObjective(mentions, golds, table2, run).loss()
-                got = state.loss_with(site, proj, changed=name)
-                assert got == pytest.approx(expected, abs=1e-12), (site, name)
+        mentions, golds = batch_of(tiny_dataset)
+        kd_both_ways = ToyTrainConfig(
+            steps=0, objective="kd", include_reverse_sites=True
+        ).distilled_sites()
+        for objective, kd_sites in (("ot", ()), ("kd", kd_both_ways)):
+            run = _training_run(None, objective)
+            state = _BatchObjective(mentions, golds, tiny_table, run, kd_sites)
+            # Teacher plans stay those of the starting table across probes.
+            teachers = distill_pairs(mentions, golds, tiny_table, run, kd_sites)
+            for site in kd_sites or PIPELINE_SITES:
+                for name in ("w_q", "w_k", "w_h"):
+                    bumped = getattr(tiny_table[site], name).copy()
+                    bumped[0, 0] += 0.37
+                    proj = tiny_table[site].replace(**{name: bumped})
+                    table2 = {**tiny_table, site: proj}
+                    students = distill_pairs(mentions, golds, table2, run, kd_sites)
+                    kd = sum(
+                        kd_pair_loss(t.plan, s.logits)
+                        for k in kd_sites
+                        for t, s in zip(teachers[k], students[k])
+                    )
+                    expected = _BatchObjective(mentions, golds, table2, run).loss() + kd
+                    got = state.loss_with(site, proj)
+                    assert got == pytest.approx(expected, abs=1e-12), (
+                        objective, site, name,
+                    )
 
 
 class TestToyTrain:
