@@ -36,7 +36,14 @@ from .errors import (
 )
 from .evaluation import RankingResult, hits_at_k, mrr, rank_all, rank_candidates
 from .fixtures import FixtureSpec, generate_fixtures, make_dataset
-from .matching import Scorer, fused_score, overall_score, softpool, unimodal_score
+from .matching import (
+    CatalogScores,
+    Scorer,
+    fused_score,
+    overall_score,
+    softpool,
+    unimodal_score,
+)
 from .objectives import (
     BatchScores,
     DistillPair,
@@ -57,6 +64,7 @@ from .ot import (
     exact_ot_uniform_square,
     plan_entropy,
     sinkhorn,
+    sinkhorn_stack,
     transport_cost,
 )
 from .types import (

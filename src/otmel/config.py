@@ -27,8 +27,10 @@ class RunConfig:
 
     ``ablations`` may drop the fused or the unimodal score components (the
     overall score then averages whatever remains); ``pool`` switches the
-    aggregation used everywhere pooling happens. ``threads`` bounds the
-    per-mention parallelism of ranking runs, 0 meaning auto.
+    aggregation used everywhere pooling happens. ``threads`` (0 meaning
+    auto, from ``OTMEL_THREADS`` or the core count) is still validated and
+    resolved, but ranking runs in one thread: stacked scoring left a
+    thread pool nothing to gain.
     """
 
     mechanism: str = OT

@@ -5,7 +5,9 @@ is mapped to queries, the source sequence to keys and transported values.
 Attention normalizes the scaled query-key scores row-wise; the transport
 mechanism converts them to a cosine cost and solves for a coupling with
 uniform marginals, so no single source element can soak up more than its
-share of mass.
+share of mass. Projection, cost and both mechanisms accept leading stack
+axes: a ``(B, n, d)`` destination holds B independent problems, computed
+together and each equal, bit for bit, to computing it alone.
 """
 
 from __future__ import annotations
@@ -16,7 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, ZeroNormRowError
-from .ot import CostMatrix, Marginals, SinkhornConfig, TransportPlan, sinkhorn
+from .ot import (
+    CostMatrix,
+    Marginals,
+    SinkhornConfig,
+    TransportPlan,
+    sinkhorn,
+    sinkhorn_stack,
+)
 from .types import EntityRecord, FeatureMatrix, MentionRecord, ProjectionSet
 
 ATTENTION = "attention"
@@ -98,6 +107,7 @@ class AssignmentResult:
     ``logits`` holds the raw scaled scores in attention mode (the student
     logits of distillation) and is None in transport mode. ``plan``
     carries solver diagnostics in transport mode and is None otherwise.
+    A stacked assignment carries the same leading axes on every array.
     """
 
     a: np.ndarray
@@ -114,25 +124,32 @@ def project(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Project destination rows to queries and source rows to keys/values.
 
-    Returns (Q, K, H) with shapes (n, d), (m, d), (m, d) where n and m are
-    the destination and source lengths.
+    Returns (Q, K, H) with shapes (..., n, d), (..., m, d), (..., m, d)
+    where n and m are the destination and source lengths; leading stack
+    axes pass through.
     """
     dst = dst.data if isinstance(dst, FeatureMatrix) else np.asarray(dst, float)
     src = src.data if isinstance(src, FeatureMatrix) else np.asarray(src, float)
     d = proj.dim
-    if dst.shape[1] != d or src.shape[1] != d:
+    if dst.shape[-1] != d or src.shape[-1] != d:
         raise DimensionError(
-            f"sequences with d={dst.shape[1]}/{src.shape[1]} do not match "
+            f"sequences with d={dst.shape[-1]}/{src.shape[-1]} do not match "
             f"projection dimension {d}"
         )
     return dst @ proj.w_q, src @ proj.w_k, src @ proj.w_h
 
 
 def row_softmax(scores: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with per-row max subtraction."""
-    shifted = scores - scores.max(axis=1, keepdims=True)
+    """Row-wise softmax with per-row max subtraction, over any leading axes."""
+    shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _attend(q, k, h) -> AssignmentResult:
+    scores = q @ k.swapaxes(-1, -2) / np.sqrt(q.shape[-1])
+    a = row_softmax(scores)
+    return AssignmentResult(a=a, g=a @ h, logits=scores, mechanism=ATTENTION)
 
 
 def attention_assign(
@@ -141,29 +158,40 @@ def attention_assign(
     proj: ProjectionSet,
 ) -> AssignmentResult:
     """Scaled dot-product attention from each destination row over the source."""
-    q, k, h = project(dst, src, proj)
-    scores = q @ k.T / np.sqrt(proj.dim)
-    a = row_softmax(scores)
-    return AssignmentResult(a=a, g=a @ h, logits=scores, mechanism=ATTENTION)
+    return _attend(*project(dst, src, proj))
 
 
 def cosine_cost(q: np.ndarray, k: np.ndarray) -> CostMatrix:
-    """Pairwise cost ``(1 - cos(q_i, k_j)) / 2``; always within [0, 1]."""
+    """Pairwise cost ``(1 - cos(q_i, k_j)) / 2``; always within [0, 1].
+
+    Leading stack axes of ``q`` and ``k`` broadcast against each other.
+    """
     q = np.asarray(q, float)
     k = np.asarray(k, float)
-    if q.shape[1] != k.shape[1]:
-        raise DimensionError(f"rows of size {q.shape[1]} vs {k.shape[1]}")
-    qn = np.linalg.norm(q, axis=1)
-    kn = np.linalg.norm(k, axis=1)
-    for name, norms in (("query", qn), ("key", kn)):
-        zero = np.flatnonzero(norms == 0.0)
-        if zero.size:
-            raise ZeroNormRowError(
-                f"{name} row {int(zero[0])} has zero norm; cosine is undefined"
-            )
-    cos = (q @ k.T) / np.outer(qn, kn)
+    if q.shape[-1] != k.shape[-1]:
+        raise DimensionError(f"rows of size {q.shape[-1]} vs {k.shape[-1]}")
+    qn = np.linalg.norm(q, axis=-1)
+    kn = np.linalg.norm(k, axis=-1)
+    if not (qn.all() and kn.all()):
+        for name, norms in (("query", qn), ("key", kn)):
+            zero = np.argwhere(norms == 0.0)
+            if zero.size:
+                raise ZeroNormRowError(
+                    f"{name} row {int(zero[0, -1])} has zero norm; cosine is undefined"
+                )
+    cos = (q @ k.swapaxes(-1, -2)) / (qn[..., :, None] * kn[..., None, :])
     np.clip(cos, -1.0, 1.0, out=cos)
     return CostMatrix(0.5 * (1.0 - cos))
+
+
+def _transport(q, k, h, config: SinkhornConfig) -> AssignmentResult:
+    cost = cosine_cost(q, k)
+    # One problem keeps the 2-D loop, which does less per iteration.
+    solve = sinkhorn if cost.data.ndim == 2 else sinkhorn_stack
+    plan = solve(cost, Marginals.uniform(cost.n, cost.m), config)
+    return AssignmentResult(
+        a=plan.data, g=plan.data @ h, logits=None, mechanism=OT, plan=plan
+    )
 
 
 def ot_assign(
@@ -176,14 +204,10 @@ def ot_assign(
 
     Builds the cosine cost between projected queries and keys and solves
     for the plan with uniform marginals (1/n per destination row, 1/m per
-    source column). The plan itself is the assignment matrix.
+    source column). The plan itself is the assignment matrix. Stacked
+    inputs are solved as one :func:`~otmel.ot.sinkhorn_stack`.
     """
-    q, k, h = project(dst, src, proj)
-    cost = cosine_cost(q, k)
-    plan = sinkhorn(cost, Marginals.uniform(cost.n, cost.m), config)
-    return AssignmentResult(
-        a=plan.data, g=plan.data @ h, logits=None, mechanism=OT, plan=plan
-    )
+    return _transport(*project(dst, src, proj), config)
 
 
 def assign(
@@ -198,6 +222,24 @@ def assign(
         return attention_assign(dst, src, proj)
     if mechanism == OT:
         return ot_assign(dst, src, proj, config)
+    raise ConfigError(f"unknown mechanism {mechanism!r}")
+
+
+def assign_projected(
+    q: np.ndarray,
+    k: np.ndarray,
+    h: np.ndarray,
+    mechanism: str,
+    config: SinkhornConfig = SinkhornConfig(),
+) -> AssignmentResult:
+    """The assignment of :func:`assign` from already projected Q, K and H.
+
+    Lets a caller project one side once and reuse it across many calls.
+    """
+    if mechanism == ATTENTION:
+        return _attend(q, k, h)
+    if mechanism == OT:
+        return _transport(q, k, h, config)
     raise ConfigError(f"unknown mechanism {mechanism!r}")
 
 

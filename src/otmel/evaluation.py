@@ -3,14 +3,18 @@
 Gold ranks are pessimistic under score ties: the gold entity takes the
 worst position inside its tie group, so degenerate all-equal scores can
 never inflate the metrics. Metric reductions run on exact rationals, so
-results are independent of mention ordering and thread count.
+results are independent of mention ordering. Each mention's candidates
+are scored as one stack (:meth:`~otmel.matching.Scorer.score_all`), and a
+candidate's score does not depend on the rest of the list, so ranking one
+mention online and ranking all of them in a batch agree.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import ConfigError, DataError
 from .matching import Scorer
@@ -50,15 +54,15 @@ def rank_candidates(
                 "is not among the candidates"
             )
 
-    scored = [(scorer.scores(mention, e).s_o, e.id) for e in entities]
-    ordering = tuple(eid for _, eid in sorted(scored, key=lambda t: (-t[0], t[1])))
+    ids = [e.id for e in entities]
+    scores = scorer.score_all(mention, entities).s_o
+    order = np.lexsort((np.array(ids), -scores))
+    ordering = tuple(ids[j] for j in order)
 
     rank = None
     if evaluate:
-        gold_score = next(s for s, eid in scored if eid == gold)
-        rank = sum(1 for s, _ in scored if s > gold_score) + sum(
-            1 for s, _ in scored if s == gold_score
-        )
+        # Pessimistic under ties: every candidate scoring at least the gold's.
+        rank = int(np.count_nonzero(scores >= scores[ids.index(gold)]))
     return RankingResult(mention_id=mention.id, ordering=ordering, rank_of_gold=rank)
 
 
@@ -71,18 +75,17 @@ def rank_all(
 ) -> list[RankingResult]:
     """Rank every mention against the shared candidate set.
 
-    Entity-side caches are warmed up front so the per-mention work can
-    fan out to a thread pool without cache races.
+    Entities and mentions are warmed in stacks up front, then each mention
+    is scored against the whole catalog in one call. ``threads`` is
+    accepted and ignored: ranking runs in one thread, because with stacked
+    scoring a thread pool only added contention, and results never depended
+    on it.
     """
     entities = list(entities)
-    scorer.warm(entities)
     mentions = list(mentions)
-    if threads <= 1 or len(mentions) <= 1:
-        return [rank_candidates(m, entities, scorer, evaluate) for m in mentions]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(
-            pool.map(lambda m: rank_candidates(m, entities, scorer, evaluate), mentions)
-        )
+    scorer.warm(entities)
+    scorer.warm(mentions)
+    return [rank_candidates(m, entities, scorer, evaluate) for m in mentions]
 
 
 def _ranks(results) -> list[int]:

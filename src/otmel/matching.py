@@ -9,6 +9,7 @@ score averages whichever of the three the configuration keeps.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -26,13 +27,23 @@ from .correlation import (
     ProjectionTable,
     RecordInteraction,
     assign,
+    assign_projected,
     interact_record,
+    record_sites,
 )
 from .errors import ConfigError, DimensionError
 from .ot import SinkhornConfig
 from .types import EntityRecord, FeatureMatrix, MatchScores, MentionRecord
 
 PoolMember = Union[FeatureMatrix, np.ndarray]
+
+# Entity-side unimodal sites and the record attribute each one compares.
+_UNIMODAL = (
+    (AssignmentSite.MENTION_TO_ENTITY_TEXT, "text"),
+    (AssignmentSite.MENTION_TO_ENTITY_VISUAL, "visual"),
+)
+# Records per stacked block, so no temporary grows with the catalog.
+_BLOCK = 32
 
 
 def _stack(members: Sequence[PoolMember]) -> np.ndarray:
@@ -42,10 +53,12 @@ def _stack(members: Sequence[PoolMember]) -> np.ndarray:
         m.data if isinstance(m, FeatureMatrix) else np.asarray(m, float)
         for m in members
     ]
-    cols = {a.shape[1] for a in arrays}
+    if len(arrays) == 1:
+        return arrays[0]
+    cols = {a.shape[-1] for a in arrays}
     if len(cols) != 1:
         raise DimensionError(f"pool members disagree on d: {sorted(cols)}")
-    return np.concatenate(arrays, axis=0)
+    return np.concatenate(arrays, axis=-2)
 
 
 def softpool(members: Sequence[PoolMember]) -> np.ndarray:
@@ -54,12 +67,16 @@ def softpool(members: Sequence[PoolMember]) -> np.ndarray:
     Every member's rows are stacked into one matrix; per column, rows are
     weighted by a softmax of their own values (max-subtracted for
     stability) and summed. The result lands between the column mean and
-    the column max, leaning toward the most activated rows.
+    the column max, leaning toward the most activated rows. Members with
+    leading stack axes pool each stacked problem on its own.
     """
     stacked = _stack(members)
-    shifted = stacked - stacked.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
-    return np.sum(e * stacked, axis=0) / e.sum(axis=0)
+    # One work array, updated in place: stacked scoring pools large stacks.
+    e = stacked - stacked.max(axis=-2, keepdims=True)
+    np.exp(e, out=e)
+    total = e.sum(axis=-2)
+    e *= stacked
+    return e.sum(axis=-2) / total
 
 
 def stack_pool(members: Sequence[PoolMember], kind: str = POOL_SOFT) -> np.ndarray:
@@ -68,9 +85,9 @@ def stack_pool(members: Sequence[PoolMember], kind: str = POOL_SOFT) -> np.ndarr
         return softpool(members)
     stacked = _stack(members)
     if kind == POOL_MEAN:
-        return stacked.mean(axis=0)
+        return stacked.mean(axis=-2)
     if kind == POOL_MAX:
-        return stacked.max(axis=0)
+        return stacked.max(axis=-2)
     raise ConfigError(f"unknown pool kind {kind!r}")
 
 
@@ -83,6 +100,15 @@ def pooled_pair(
     text = stack_pool([record.text, interaction.v2t.g], pool)
     visual = stack_pool([record.visual, interaction.t2v.g], pool)
     return text, visual
+
+
+def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Inner products of the last axes, broadcast over leading axes.
+
+    Each product is a 1 x d by d x 1 matmul, which sums in the same order
+    as the 1-D ``x @ y`` (a matrix-vector product would not).
+    """
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
 def fused_score(
@@ -116,34 +142,75 @@ def unimodal_score(
     Row 0 of each matrix is its summary row.
     """
     result = assign(entity_side, mention_side, proj, mechanism, config)
-    return _unimodal_value(result.g, mention_side, entity_side, pool)
+    return float(
+        _unimodal_value(result.g, mention_side.summary, entity_side.summary, pool)
+    )
 
 
-def _unimodal_value(g, mention_side, entity_side, pool) -> float:
-    """The unimodal score from mention features already transported by ``g``."""
+def _unimodal_value(g, t_m, t_e, pool) -> np.ndarray:
+    """The unimodal score from mention features already transported by ``g``.
+
+    ``t_m`` and ``t_e`` are the mention and entity summary rows; a stack of
+    ``g`` and ``t_e`` gives one score per stacked entity.
+    """
     pooled = stack_pool([g], pool)
-    t_m = mention_side.summary
-    t_e = entity_side.summary
-    return float(0.5 * (pooled @ t_e + t_m @ t_e))
+    if pooled.ndim == 1:
+        return 0.5 * (pooled @ t_e + t_m @ t_e)
+    return 0.5 * (_rowdot(pooled, t_e) + _rowdot(t_m, t_e))
+
+
+def _fitted(side: FeatureMatrix, proj) -> np.ndarray:
+    """The rows of ``side``, checked against the projection dimension."""
+    if side.cols != proj.dim:
+        raise DimensionError(
+            f"sequence with d={side.cols} does not match projection dimension {proj.dim}"
+        )
+    return side.data
+
+
+def _hit(cache: dict, record):
+    """The entry cached for this very record object, or None."""
+    entry = cache.get(id(record))
+    return entry[1] if entry is not None and entry[0] is record else None
+
+
+@dataclass(frozen=True)
+class CatalogScores:
+    """One mention's match scores against each entity, in catalog order."""
+
+    s_f: np.ndarray
+    s_t: np.ndarray
+    s_v: np.ndarray
+    s_o: np.ndarray
+
+    def row(self, j: int) -> MatchScores:
+        """The scores of entity ``j``."""
+        return MatchScores(
+            s_f=float(self.s_f[j]),
+            s_t=float(self.s_t[j]),
+            s_v=float(self.s_v[j]),
+            s_o=float(self.s_o[j]),
+        )
 
 
 class Scorer:
-    """Scores mention-entity pairs under one configuration.
+    """Scores a mention against a catalog of entities under one configuration.
 
-    Per-record interactions and pooled vectors are cached by record
-    object, so ranking a mention against many candidates reuses the
-    per-record work. Each entry keeps its record alive and is used only
-    for that same object, so a recycled ``id()`` never returns another
-    record's result. Precompute entity caches before fanning scoring out
-    to threads; cached lookups are then read-only.
+    Per-record work is cached by record object: each record's pooled
+    vectors, and each entity's projected unimodal queries. Each entry
+    keeps its record alive and is used only for that same object, so a
+    recycled ``id()`` never returns another record's result.
+    :meth:`score_all` scores a whole catalog in stacked array operations;
+    every score equals, bit for bit, the one :func:`fused_score`,
+    :func:`pooled_pair` and :func:`unimodal_score` give for the pair alone.
     """
 
     def __init__(self, projections: ProjectionTable, config: RunConfig = RunConfig()):
         self.projections = projections
         self.config = config
         self._solver_config = config.sinkhorn_config()
-        self._interactions: dict[int, tuple[object, RecordInteraction]] = {}
         self._pooled: dict[int, tuple[object, tuple[np.ndarray, np.ndarray]]] = {}
+        self._queries: dict[int, tuple[object, tuple[np.ndarray, np.ndarray]]] = {}
 
     @property
     def uses_fused(self) -> bool:
@@ -153,54 +220,126 @@ class Scorer:
     def uses_unimodal(self) -> bool:
         return ABLATION_NO_UNIMODAL not in self.config.ablations
 
-    def interaction(self, record) -> RecordInteraction:
-        entry = self._interactions.get(id(record))
-        if entry is None or entry[0] is not record:
-            found = interact_record(
+    def pooled(self, record) -> tuple[np.ndarray, np.ndarray]:
+        """The record's pooled (text, visual) vectors; a miss solves it alone."""
+        found = _hit(self._pooled, record)
+        if found is None:
+            interaction = interact_record(
                 record, self.projections, self.config.mechanism, self._solver_config
             )
-            entry = self._interactions[id(record)] = (record, found)
-        return entry[1]
-
-    def pooled(self, record) -> tuple[np.ndarray, np.ndarray]:
-        entry = self._pooled.get(id(record))
-        if entry is None or entry[0] is not record:
-            found = pooled_pair(record, self.interaction(record), self.config.pool)
-            entry = self._pooled[id(record)] = (record, found)
-        return entry[1]
+            found = pooled_pair(record, interaction, self.config.pool)
+            self._pooled[id(record)] = (record, found)
+        return found
 
     def warm(self, records) -> None:
-        """Populate the per-record caches (call before threaded scoring)."""
-        for record in records:
-            self.pooled(record)
+        """Cache the pooled vectors of every record not cached yet.
+
+        Records of one kind and one (text, visual) shape are solved
+        together, in stacks of at most ``_BLOCK`` records; a record alone
+        in its group is solved unstacked, by :meth:`pooled`. Does nothing
+        when the fused score, the only reader of pooled vectors, is ablated.
+        """
+        if not self.uses_fused:
+            return
+        groups: dict[tuple, dict[int, object]] = {}
+        for r in records:
+            if _hit(self._pooled, r) is None:
+                key = (type(r), r.text.data.shape, r.visual.data.shape)
+                groups.setdefault(key, {})[id(r)] = r
+        mechanism, pool = self.config.mechanism, self.config.pool
+        solver = self._solver_config
+        for group in groups.values():
+            group = list(group.values())
+            if len(group) == 1:
+                self.pooled(group[0])
+                continue
+            v2t_proj, t2v_proj = (self.projections[s] for s in record_sites(group[0]))
+            for start in range(0, len(group), _BLOCK):
+                block = group[start : start + _BLOCK]
+                text = np.stack([r.text.data for r in block])
+                visual = np.stack([r.visual.data for r in block])
+                # Each direction is pooled as soon as it is solved, so the
+                # block's large temporaries are never all alive at once.
+                g = assign(text, visual, v2t_proj, mechanism, solver).g
+                text_pooled = stack_pool([text, g], pool)
+                g = assign(visual, text, t2v_proj, mechanism, solver).g
+                visual_pooled = stack_pool([visual, g], pool)
+                for r, pair in zip(block, zip(text_pooled, visual_pooled)):
+                    self._pooled[id(r)] = (r, pair)
+
+    def _entity_queries(self, entity) -> tuple[np.ndarray, np.ndarray]:
+        """The entity's text and visual rows projected to unimodal queries."""
+        found = _hit(self._queries, entity)
+        if found is None:
+            found = tuple(
+                _fitted(getattr(entity, attr), self.projections[site])
+                @ self.projections[site].w_q
+                for site, attr in _UNIMODAL
+            )
+            self._queries[id(entity)] = (entity, found)
+        return found
+
+    def _unimodal(self, mention, block, which: int) -> np.ndarray:
+        """One unimodal site's scores of the mention against a block of entities.
+
+        Entities are grouped by sequence length and each group is solved as
+        one stack, or unstacked if it holds one entity; groups are never
+        padded, since padding would change the uniform marginals.
+        """
+        site, attr = _UNIMODAL[which]
+        proj = self.projections[site]
+        side = getattr(mention, attr)
+        x = _fitted(side, proj)
+        k, h = x @ proj.w_k, x @ proj.w_h
+        groups: dict[int, list[int]] = {}
+        for j, e in enumerate(block):
+            groups.setdefault(getattr(e, attr).rows, []).append(j)
+        values = np.empty(len(block))
+        for rows in groups.values():
+            if len(rows) == 1:
+                q = self._entity_queries(block[rows[0]])[which]
+                t_e = getattr(block[rows[0]], attr).summary
+            else:
+                q = np.stack([self._entity_queries(block[j])[which] for j in rows])
+                t_e = np.stack([getattr(block[j], attr).summary for j in rows])
+            g = assign_projected(q, k, h, self.config.mechanism, self._solver_config).g
+            values[rows] = _unimodal_value(g, side.summary, t_e, self.config.pool)
+        return values
+
+    def score_all(self, mention: MentionRecord, entities) -> CatalogScores:
+        """All match scores of one mention against each entity, in catalog order.
+
+        Entities are scored in blocks of at most ``_BLOCK``: the fused
+        scores as one stacked product of pooled vectors, each unimodal site
+        as stacked cost, assignment, transport and pooling. A score does
+        not depend on which other entities share the catalog. Ablated
+        components read 0.
+        """
+        entities = list(entities)
+        count = len(entities)
+        s_f, s_t, s_v = np.zeros(count), np.zeros(count), np.zeros(count)
+        self.warm(entities)
+        if self.uses_fused:
+            m_text, m_vis = self.pooled(mention)
+        for start in range(0, count, _BLOCK):
+            block = entities[start : start + _BLOCK]
+            out = slice(start, start + len(block))
+            if self.uses_fused:
+                e_text, e_vis = (np.stack(v) for v in zip(*map(self.pooled, block)))
+                s_f[out] = _rowdot(m_text, e_text) + _rowdot(m_vis, e_vis)
+            if self.uses_unimodal:
+                s_t[out] = self._unimodal(mention, block, 0)
+                s_v[out] = self._unimodal(mention, block, 1)
+        parts = []
+        if self.uses_fused:
+            parts.append(s_f)
+        if self.uses_unimodal:
+            parts.extend([s_t, s_v])
+        return CatalogScores(s_f, s_t, s_v, sum(parts) / len(parts))
 
     def scores(self, mention: MentionRecord, entity: EntityRecord) -> MatchScores:
         """All match scores for one pair; ablated components read 0."""
-        s_f = s_t = s_v = 0.0
-        parts = []
-        if self.uses_fused:
-            s_f = fused_score(self.pooled(mention), self.pooled(entity))
-            parts.append(s_f)
-        if self.uses_unimodal:
-            s_t = unimodal_score(
-                mention.text,
-                entity.text,
-                self.projections[AssignmentSite.MENTION_TO_ENTITY_TEXT],
-                self.config.mechanism,
-                self._solver_config,
-                self.config.pool,
-            )
-            s_v = unimodal_score(
-                mention.visual,
-                entity.visual,
-                self.projections[AssignmentSite.MENTION_TO_ENTITY_VISUAL],
-                self.config.mechanism,
-                self._solver_config,
-                self.config.pool,
-            )
-            parts.extend([s_t, s_v])
-        s_o = sum(parts) / len(parts)
-        return MatchScores(s_f=s_f, s_t=s_t, s_v=s_v, s_o=s_o)
+        return self.score_all(mention, [entity]).row(0)
 
 
 def overall_score(

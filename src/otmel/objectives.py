@@ -77,6 +77,7 @@ def batch_scores(mentions, entities, scorer: Scorer) -> BatchScores:
     """Score every mention against every entity; diagonal pairs are gold.
 
     Callers arrange ``entities`` so that entity j is mention j's gold.
+    Each row is one :meth:`~otmel.matching.Scorer.score_all` call.
     """
     if len(mentions) != len(entities):
         raise DimensionError(
@@ -89,14 +90,13 @@ def batch_scores(mentions, entities, scorer: Scorer) -> BatchScores:
     v = np.empty((b, b)) if scorer.uses_unimodal else None
     o = np.empty((b, b))
     for i, m in enumerate(mentions):
-        for j, e in enumerate(entities):
-            s = scorer.scores(m, e)
-            o[i, j] = s.s_o
-            if f is not None:
-                f[i, j] = s.s_f
-            if t is not None:
-                t[i, j] = s.s_t
-                v[i, j] = s.s_v
+        s = scorer.score_all(m, entities)
+        o[i] = s.s_o
+        if f is not None:
+            f[i] = s.s_f
+        if t is not None:
+            t[i] = s.s_t
+            v[i] = s.s_v
     return BatchScores(o=o, f=f, t=t, v=v)
 
 
@@ -420,7 +420,7 @@ class _BatchObjective:
         if site in UNIMODAL_SITES and self.use_unimodal:
             grid = np.array(
                 [
-                    _unimodal_value(g, src, dst, self.run.pool)
+                    _unimodal_value(g, src.summary, dst.summary, self.run.pool)
                     for (dst, src), g in zip(pairs, gs)
                 ]
             ).reshape(-1, len(self.mentions))

@@ -8,6 +8,12 @@ rounded onto its marginals, so it is feasible even when scaling stops
 early. A factorial-time exact solver for small square instances with
 uniform marginals is included as a test oracle, together with plan
 diagnostics (cost, entropy).
+
+Costs and plans may carry leading stack axes: a ``(..., n, m)`` cost is
+a stack of independent ``n x m`` problems. :func:`sinkhorn` solves one
+problem; :func:`sinkhorn_stack` solves a stack in one scaling loop, with
+each problem giving the same result, bit for bit, as :func:`sinkhorn` on
+it alone.
 """
 
 from __future__ import annotations
@@ -24,25 +30,27 @@ from .types import freeze_array
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """An n x m matrix of pairwise transport costs."""
+    """An n x m matrix of pairwise transport costs, or a stack of them."""
 
     data: np.ndarray
 
     def __post_init__(self):
         arr = freeze_array(self.data)
-        if arr.ndim != 2:
-            raise DimensionError(f"cost matrix must be 2-D, got shape {arr.shape}")
+        if arr.ndim < 2:
+            raise DimensionError(
+                f"cost matrix must be at least 2-D, got shape {arr.shape}"
+            )
         if not np.isfinite(arr).all():
             raise NonFiniteError("cost matrix contains non-finite values")
         object.__setattr__(self, "data", arr)
 
     @property
     def n(self) -> int:
-        return self.data.shape[0]
+        return self.data.shape[-2]
 
     @property
     def m(self) -> int:
-        return self.data.shape[1]
+        return self.data.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -79,30 +87,34 @@ class TransportPlan:
     ``achieved_marginal_error`` is the L1 distance of the plan's row and
     column sums from the requested marginals, recomputed from the final
     plan; for a rounded Sinkhorn plan it is at floating-point level.
-    ``converged`` records whether the scaling residual, measured before
-    rounding, beat the solver tolerance.
+    ``residual`` is the L1 marginal error of the scaled plan before
+    rounding, which shows how far the scaling got, and ``converged``
+    records whether it beat the solver tolerance. A stack of plans, of
+    shape ``(..., n, m)``, carries each diagnostic as an array over the
+    leading axes.
     """
 
     data: np.ndarray
-    achieved_marginal_error: float
-    iterations_used: int
-    converged: bool = True
+    achieved_marginal_error: float | np.ndarray
+    iterations_used: int | np.ndarray
+    converged: bool | np.ndarray = True
+    residual: float | np.ndarray = 0.0
 
     def __post_init__(self):
         arr = freeze_array(self.data)
-        if arr.ndim != 2:
-            raise DimensionError(f"plan must be 2-D, got shape {arr.shape}")
+        if arr.ndim < 2:
+            raise DimensionError(f"plan must be at least 2-D, got shape {arr.shape}")
         if (arr < 0).any():
             raise ConfigError("transport plan has negative entries")
         object.__setattr__(self, "data", arr)
 
     @property
     def n(self) -> int:
-        return self.data.shape[0]
+        return self.data.shape[-2]
 
     @property
     def m(self) -> int:
-        return self.data.shape[1]
+        return self.data.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -137,6 +149,57 @@ def _as_cost(cost) -> CostMatrix:
     return cost if isinstance(cost, CostMatrix) else CostMatrix(cost)
 
 
+def _kernel(cost, marginals: Marginals, config: SinkhornConfig) -> np.ndarray:
+    """The clamped kernel ``exp(-sharpness * C)`` of a cost that fits the marginals."""
+    cost = _as_cost(cost)
+    n, m = cost.n, cost.m
+    mu, nu = marginals.mu, marginals.nu
+    if mu.shape[0] != n or nu.shape[0] != m:
+        raise DimensionError(
+            f"marginals ({mu.shape[0]}, {nu.shape[0]}) do not match cost {n}x{m}"
+        )
+    kernel = np.exp(-config.sharpness * cost.data)
+    np.maximum(kernel, config.kernel_floor, out=kernel)
+    return kernel
+
+
+def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``a @ x`` over leading stack axes, one matrix-vector product per problem."""
+    return a @ x if x.ndim == 1 else (a @ x[..., None])[..., 0]
+
+
+def _rounded(kernel, v, kv, kv_prev, marginals: Marginals):
+    """Round scaled plans onto the marginals; return them and their L1 errors.
+
+    Altschuler, Weed & Rigollet 2017, Alg. 2. Row i of the scaled plan sums
+    to mu_i * kv_i / kv_prev_i, so dividing mu by the larger of the two
+    shrinks exactly the rows above mu, with positive divisors even where mu
+    is 0. The last v update left every column at nu and shrinking rows
+    only lowers columns, so the column shrink of Alg. 2 is skipped. A
+    rank-1 term then refills the row and column deficits, clamped at 0,
+    in every problem with a row deficit. Takes one 2-D problem or a
+    ``(B, n, m)`` stack.
+    """
+    mu, nu = marginals.mu, marginals.nu
+    u = mu / np.maximum(kv, kv_prev)
+    row_deficit = np.maximum(mu - u * kv, 0.0)
+    col_deficit = np.maximum(nu - v * _matvec(kernel.swapaxes(-1, -2), u), 0.0)
+    plan = u[..., :, None] * kernel * v[..., None, :]
+    deficit = row_deficit.sum(axis=-1)
+    if plan.ndim == 2:
+        if deficit > 0:
+            plan += row_deficit[:, None] * (col_deficit / deficit)
+    else:
+        short = np.flatnonzero(deficit > 0)
+        share = col_deficit[short] / deficit[short, None]
+        plan[short] += row_deficit[short, :, None] * share[:, None, :]
+    achieved = (
+        np.abs(plan.sum(axis=-1) - mu).sum(axis=-1)
+        + np.abs(plan.sum(axis=-2) - nu).sum(axis=-1)
+    )
+    return plan, achieved
+
+
 def sinkhorn(
     cost: CostMatrix | np.ndarray,
     marginals: Marginals,
@@ -148,24 +211,29 @@ def sinkhorn(
     ``K = exp(-sharpness * C)``, and repeats ``u = mu / (K v)`` followed by
     ``v = nu / (K^T u)`` until the combined L1 marginal error of
     ``diag(u) K diag(v)`` drops below ``tol`` or ``max_iter`` pairs have
-    run; ``converged`` reports whether that residual beat ``tol``. The
-    scaled plan is then rounded onto the marginals (Altschuler, Weed &
-    Rigollet 2017, Alg. 2): rows above ``mu`` are shrunk and the remaining
-    row and column deficits are filled by a rank-1 term. The returned plan
-    meets both marginals to floating-point accuracy, converged or not, and
-    lies within twice the scaling residual (L1) of the scaled plan.
-    Deterministic for fixed inputs; never raises on slow convergence.
+    run; ``residual`` is that last error and ``converged`` whether it beat
+    ``tol``. The scaled plan is then rounded onto the marginals
+    (Altschuler, Weed & Rigollet 2017, Alg. 2): rows above ``mu`` are
+    shrunk and the remaining row and column deficits are filled by a
+    rank-1 term. The returned plan meets both marginals to floating-point
+    accuracy, converged or not, and lies within twice the residual (L1) of
+    the scaled plan. Deterministic for fixed inputs; never raises on slow
+    convergence. Solves one 2-D problem; see :func:`sinkhorn_stack` for
+    many.
     """
-    cost = _as_cost(cost)
-    n, m = cost.n, cost.m
-    mu, nu = marginals.mu, marginals.nu
-    if mu.shape[0] != n or nu.shape[0] != m:
+    kernel = _kernel(cost, marginals, config)
+    if kernel.ndim != 2:
         raise DimensionError(
-            f"marginals ({mu.shape[0]}, {nu.shape[0]}) do not match cost {n}x{m}"
+            f"sinkhorn solves one 2-D problem, got shape {kernel.shape}; "
+            "use sinkhorn_stack for a stack"
         )
+    return _scaled(kernel, marginals, config)
 
-    kernel = np.exp(-config.sharpness * cost.data)
-    np.maximum(kernel, config.kernel_floor, out=kernel)
+
+def _scaled(kernel, marginals: Marginals, config: SinkhornConfig) -> TransportPlan:
+    """The 2-D scaling loop of :func:`sinkhorn` on its kernel, then rounding."""
+    n, m = kernel.shape
+    mu, nu = marginals.mu, marginals.nu
 
     u = np.ones(n)
     v = np.ones(m)
@@ -182,27 +250,86 @@ def sinkhorn(
         if err < config.tol:
             break
 
-    # Round onto the feasible set (Altschuler, Weed & Rigollet 2017, Alg. 2).
-    # Row i sums to mu_i * kv_i / kv_prev_i, so dividing mu by the larger of
-    # the two shrinks exactly the rows above mu, with positive divisors even
-    # where mu is 0. The last v update left every column at nu and shrinking
-    # rows only lowers columns, so the column shrink of Alg. 2 is skipped.
-    # A rank-1 term then refills the row and column deficits, clamped at 0.
-    u = mu / np.maximum(kv, kv_prev)
-    row_deficit = np.maximum(mu - u * kv, 0.0)
-    col_deficit = np.maximum(nu - v * (kernel.T @ u), 0.0)
-    plan = u[:, None] * kernel * v[None, :]
-    deficit = row_deficit.sum()
-    if deficit > 0:
-        plan += row_deficit[:, None] * (col_deficit / deficit)
-    achieved = float(
-        np.abs(plan.sum(axis=1) - mu).sum() + np.abs(plan.sum(axis=0) - nu).sum()
-    )
+    plan, achieved = _rounded(kernel, v, kv, kv_prev, marginals)
     return TransportPlan(
         data=plan,
-        achieved_marginal_error=achieved,
+        achieved_marginal_error=float(achieved),
         iterations_used=iterations,
         converged=err < config.tol,
+        residual=float(err),
+    )
+
+
+def sinkhorn_stack(
+    cost: CostMatrix | np.ndarray,
+    marginals: Marginals,
+    config: SinkhornConfig = SinkhornConfig(),
+) -> TransportPlan:
+    """Solve a stack of transport problems that share their marginals.
+
+    ``cost`` has shape ``(..., n, m)``. One alternating-scaling loop
+    updates every problem still active; a problem leaves the active set
+    at the iteration where :func:`sinkhorn` on it alone stops, and is
+    rounded the same way, so each plan and each diagnostic equals that
+    solve's, bit for bit, whatever else shares the stack. The returned
+    plan has the cost's shape and carries its diagnostics as arrays over
+    the leading axes. A stack holding one problem is solved by
+    :func:`sinkhorn`, whose loop does less per iteration.
+    """
+    kernel = _kernel(cost, marginals, config)
+    shape = kernel.shape
+    n, m = shape[-2:]
+    lead = shape[:-2]
+    if kernel.size == n * m:
+        one = _scaled(kernel.reshape(n, m), marginals, config)
+        return TransportPlan(
+            data=one.data.reshape(shape),
+            achieved_marginal_error=np.full(lead, one.achieved_marginal_error),
+            iterations_used=np.full(lead, one.iterations_used),
+            converged=np.full(lead, one.converged),
+            residual=np.full(lead, one.residual),
+        )
+    kernel = kernel.reshape(-1, n, m)
+    mu, nu = marginals.mu, marginals.nu
+    count = kernel.shape[0]
+
+    v = np.empty((count, m))
+    kv = np.empty((count, n))
+    kv_prev = np.empty((count, n))
+    iterations = np.zeros(count, dtype=int)
+    residual = np.zeros(count)
+    # Rows of the active problems, compacted whenever some of them stop.
+    active = np.arange(count)
+    k_act = kernel
+    kv_act = _matvec(kernel, np.ones((count, m)))
+    it = 0
+    while active.size:
+        it += 1
+        u_act = mu / kv_act
+        kt_u = _matvec(k_act.swapaxes(-1, -2), u_act)
+        v_act = nu / kt_u
+        kv_prev_act, kv_act = kv_act, _matvec(k_act, v_act)
+        err = np.abs(u_act * kv_act - mu).sum(axis=-1) + np.abs(
+            v_act * kt_u - nu
+        ).sum(axis=-1)
+        stop = (err < config.tol) | (it == config.max_iter)
+        if stop.any():
+            done = active[stop]
+            v[done] = v_act[stop]
+            kv[done] = kv_act[stop]
+            kv_prev[done] = kv_prev_act[stop]
+            iterations[done] = it
+            residual[done] = err[stop]
+            keep = ~stop
+            active, k_act, kv_act = active[keep], k_act[keep], kv_act[keep]
+
+    plan, achieved = _rounded(kernel, v, kv, kv_prev, marginals)
+    return TransportPlan(
+        data=plan.reshape(shape),
+        achieved_marginal_error=achieved.reshape(lead),
+        iterations_used=iterations.reshape(lead),
+        converged=(residual < config.tol).reshape(lead),
+        residual=residual.reshape(lead),
     )
 
 

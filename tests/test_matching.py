@@ -5,7 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otmel.config import RunConfig
-from otmel.correlation import OT, AssignmentSite
+from otmel.correlation import (
+    OT,
+    AssignmentSite,
+    default_projections,
+    interact_record,
+)
 from otmel.errors import ConfigError, DimensionError
 from otmel.matching import (
     Scorer,
@@ -17,7 +22,7 @@ from otmel.matching import (
     unimodal_score,
 )
 from otmel.ot import SinkhornConfig
-from otmel.types import EntityRecord, FeatureMatrix, MentionRecord
+from otmel.types import EntityRecord, FeatureMatrix, MatchScores, MentionRecord
 
 from conftest import make_record
 
@@ -68,6 +73,14 @@ class TestSoftpool:
     def test_accepts_feature_matrices(self, rng):
         a = FeatureMatrix(rng.standard_normal((2, 3)))
         np.testing.assert_allclose(softpool([a]), softpool([a.data]), atol=1e-15)
+
+    def test_members_left_unchanged(self, rng):
+        # softpool updates its work array in place; a lone member is pooled
+        # without a copy, so that array must never be the member itself.
+        stack = rng.standard_normal((3, 4, 5))
+        before = stack.copy()
+        softpool([stack])
+        np.testing.assert_array_equal(stack, before)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ConfigError):
@@ -275,3 +288,118 @@ class TestScorerCaches:
             fresh = Scorer(identity_table, RunConfig()).scores(mention, entity)
             stale += scorer.scores(mention, entity) != fresh
         assert stale == 0
+
+
+def pair_reference(mention, entity, table, run):
+    """One pair scored alone: fused_score of pooled_pair values plus unimodal_score."""
+    solver = run.sinkhorn_config()
+    s_f = s_t = s_v = 0.0
+    parts = []
+    if "no_fusm" not in run.ablations:
+        pooled = [
+            pooled_pair(r, interact_record(r, table, run.mechanism, solver), run.pool)
+            for r in (mention, entity)
+        ]
+        s_f = fused_score(*pooled)
+        parts.append(s_f)
+    if "no_unim" not in run.ablations:
+        s_t, s_v = (
+            unimodal_score(
+                getattr(mention, attr),
+                getattr(entity, attr),
+                table[site],
+                run.mechanism,
+                solver,
+                run.pool,
+            )
+            for site, attr in (
+                (AssignmentSite.MENTION_TO_ENTITY_TEXT, "text"),
+                (AssignmentSite.MENTION_TO_ENTITY_VISUAL, "visual"),
+            )
+        )
+        parts.extend([s_t, s_v])
+    return MatchScores(s_f=s_f, s_t=s_t, s_v=s_v, s_o=sum(parts) / len(parts))
+
+
+def random_catalog(rng, count, d=6):
+    """Entities whose lengths vary, so some share a stack and some stand alone."""
+    return [
+        make_record(
+            rng,
+            "entity",
+            rows_text=int(rng.integers(1, 4)),
+            rows_visual=int(rng.integers(1, 4)),
+            d=d,
+        )
+        for _ in range(count)
+    ]
+
+
+RUN_CONFIGS = st.builds(
+    lambda mechanism, pool, ablation, sharpness: RunConfig(
+        mechanism=mechanism,
+        pool=pool,
+        ablations=frozenset(ablation),
+        sharpness=sharpness,
+    ),
+    mechanism=st.sampled_from(["ot", "attention"]),
+    pool=st.sampled_from(["soft", "mean", "max"]),
+    ablation=st.sampled_from([(), ("no_fusm",), ("no_unim",)]),
+    sharpness=st.sampled_from([0.6, 30.0]),
+)
+
+
+class TestScoreAll:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), run=RUN_CONFIGS, count=st.integers(1, 7))
+    def test_matches_per_pair_composition(self, seed, run, count):
+        rng = np.random.default_rng(seed)
+        table = default_projections(6, seed=seed % 1000)
+        entities = random_catalog(rng, count)
+        # Two mentions of one shape, so warming solves them as a stack.
+        mentions = [
+            make_record(rng, "mention", rows_text=3, rows_visual=2, d=6)
+            for _ in range(2)
+        ]
+        scorer = Scorer(table, run)
+        scorer.warm(mentions)
+        for mention in mentions:
+            got = scorer.score_all(mention, entities)
+            for j, entity in enumerate(entities):
+                assert got.row(j) == pair_reference(mention, entity, table, run)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), run=RUN_CONFIGS, count=st.integers(2, 7))
+    def test_scores_do_not_depend_on_the_rest_of_the_catalog(self, seed, run, count):
+        # Online ranking scores a mention against whatever catalog it is
+        # given; batch ranking against the whole one. They agree only if
+        # an entity's scores ignore its neighbours.
+        rng = np.random.default_rng(seed)
+        table = default_projections(6, seed=seed % 1000)
+        entities = random_catalog(rng, count)
+        mention = make_record(rng, "mention", rows_text=2, rows_visual=3, d=6)
+        full = Scorer(table, run).score_all(mention, entities)
+        order = rng.permutation(count)[: int(rng.integers(1, count + 1))]
+        part = Scorer(table, run).score_all(mention, [entities[j] for j in order])
+        for pos, j in enumerate(order):
+            assert part.row(pos) == full.row(j)
+
+    @pytest.mark.parametrize("ablation", [(), ("no_fusm",), ("no_unim",)])
+    def test_mismatched_d_raises_dimension_error(self, rng, ablation):
+        # Under no_fusm no cross-modal solve runs, so the unimodal sites
+        # themselves must check d; a catalog mixing d must not reach a
+        # stack of unequal rows.
+        table = default_projections(6, seed=0)
+        scorer = Scorer(table, RunConfig(ablations=frozenset(ablation)))
+        fits = make_record(rng, "mention", rows_text=2, rows_visual=2, d=6)
+        odd = make_record(rng, "mention", rows_text=2, rows_visual=2, d=7)
+        catalog = [
+            make_record(rng, "entity", rows_text=2, rows_visual=2, d=d) for d in (6, 7)
+        ]
+        with pytest.raises(DimensionError):
+            scorer.score_all(odd, catalog[:1])
+        with pytest.raises(DimensionError):
+            scorer.score_all(fits, catalog)
+        if scorer.uses_fused:
+            with pytest.raises(DimensionError):
+                scorer.warm([fits, odd])

@@ -3,6 +3,8 @@ import itertools
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otmel.errors import ConfigError, DimensionError, NonFiniteError
 from otmel.ot import (
@@ -13,6 +15,7 @@ from otmel.ot import (
     exact_ot_uniform_square,
     plan_entropy,
     sinkhorn,
+    sinkhorn_stack,
     transport_cost,
 )
 
@@ -40,6 +43,8 @@ class TestSinkhorn:
         np.testing.assert_allclose(plan.data, np.full((2, 3), 1 / 6), atol=1e-15)
         assert plan.iterations_used == 1
         assert plan.achieved_marginal_error == 0.0
+        assert plan.converged
+        assert plan.residual < SinkhornConfig().tol
 
     def test_symmetric_2x2_matches_oracle(self):
         # Frozen from scaling_oracle([[0,1],[1,0]], (1/2,1/2), (1/2,1/2), 0.6):
@@ -71,6 +76,8 @@ class TestSinkhorn:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             sinkhorn(CostMatrix(np.zeros((2, 2))), Marginals.uniform(3, 2))
+        with pytest.raises(DimensionError):
+            sinkhorn(CostMatrix(np.zeros((4, 2, 2))), Marginals.uniform(2, 2))
 
     def test_non_finite_cost_rejected(self):
         with pytest.raises(NonFiniteError):
@@ -113,6 +120,8 @@ class TestSinkhorn:
         assert np.abs(plan.data.sum(axis=1) - marg.mu).sum() <= 1e-15
         assert np.abs(plan.data.sum(axis=0) - marg.nu).sum() <= 1e-15
         assert not plan.converged
+        # The residual before rounding shows how far the scaling got.
+        assert plan.residual >= 1e-12
 
 
 class TestSinkhornProperties:
@@ -165,6 +174,40 @@ class TestSinkhornProperties:
             + np.abs(plan.data.sum(axis=0) - marg.nu).sum()
         )
         assert plan.achieved_marginal_error == recomputed
+
+
+class TestSinkhornStack:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sharpness=st.sampled_from([0.6, 30.0, 50.0]),
+        count=st.integers(1, 6),
+        n=st.integers(1, 8),
+        m=st.integers(1, 8),
+        max_iter=st.sampled_from([1, 3, 1000]),
+        uniform=st.booleans(),
+    )
+    def test_matches_sinkhorn_on_each_problem(
+        self, seed, sharpness, count, n, m, max_iter, uniform
+    ):
+        rng = np.random.default_rng(seed)
+        cost = rng.random((count, n, m))
+        if uniform:
+            marg = Marginals.uniform(n, m)
+        else:
+            mu = rng.random(n) + 0.05
+            nu = rng.random(m) + 0.05
+            marg = Marginals(mu / mu.sum(), nu / nu.sum())
+        config = SinkhornConfig(sharpness=sharpness, max_iter=max_iter)
+        stack = sinkhorn_stack(cost, marg, config)
+        assert stack.data.shape == cost.shape
+        for b in range(count):
+            single = sinkhorn(cost[b], marg, config)
+            np.testing.assert_array_equal(stack.data[b], single.data)
+            assert stack.iterations_used[b] == single.iterations_used
+            assert stack.converged[b] == single.converged
+            assert stack.residual[b] == single.residual
+            assert stack.achieved_marginal_error[b] == single.achieved_marginal_error
 
 
 class TestExactOracle:
