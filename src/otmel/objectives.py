@@ -7,10 +7,10 @@ logits (student) through row- and column-wise KL divergences. The toy
 trainer descends these objectives over the projection tables with central
 finite differences; it is meant for small synthetic datasets only and
 guards its input sizes accordingly. Its batch objective keeps one part per
-assignment site (the site's assignments, the value the matching losses
-read from it, and its distillation term), so a probe that perturbs one
-site rebuilds only that site's part, and a probe that moves only ``w_h``
-reuses the site's cached assignment matrices.
+assignment site (the value the matching losses read from it and its
+distillation term), built from one stacked assignment per shape of the
+site's problems, so a probe that perturbs one site rebuilds only that
+site's part.
 """
 
 from __future__ import annotations
@@ -27,16 +27,16 @@ from .correlation import (
     PIPELINE_SITES,
     REVERSE_UNIMODAL_SITES,
     UNIMODAL_SITES,
-    AssignmentResult,
     AssignmentSite,
     ProjectionTable,
     assign,
+    assign_projected,
     cosine_cost,
     project,
 )
 from .data_io import Dataset
 from .errors import ConfigError, DimensionError, NonFiniteError
-from .matching import Scorer, _unimodal_value, stack_pool
+from .matching import Scorer, _rowdot, _unimodal_value, stack_pool
 from .ot import Marginals, sinkhorn
 from .types import FeatureMatrix, ProjectionSet
 
@@ -111,7 +111,10 @@ def total_matching_loss(batch: BatchScores) -> float:
 
 @dataclass(frozen=True)
 class DistillPair:
-    """One teacher plan and the student logits for the same assignment."""
+    """Teacher plans and student logits for the same assignments.
+
+    One ``(n, m)`` pair, or a ``(..., n, m)`` stack of them.
+    """
 
     plan: np.ndarray
     logits: np.ndarray
@@ -129,21 +132,26 @@ class DistillPair:
         object.__setattr__(self, "logits", logits)
 
 
-def kd_pair_loss(plan: np.ndarray, logits: np.ndarray) -> float:
-    """Distillation divergence for one assignment.
+def kd_pair_loss(plan: np.ndarray, logits: np.ndarray) -> float | np.ndarray:
+    """Distillation divergence for one assignment, or one per stacked assignment.
 
     Both operands are pushed through a softmax along each axis; the loss
     averages the summed row-wise and column-wise KL divergences from the
-    plan's distributions to the logits'.
+    plan's distributions to the logits'. A ``(..., n, m)`` stack gives an
+    array over the leading axes, each term equal, bit for bit, to the one
+    its ``(n, m)`` pair gives alone.
     """
     pair = DistillPair(plan, logits)
 
-    def directed(axis: int) -> float:
+    def directed(axis: int) -> np.ndarray:
         lp = _log_softmax(pair.plan, axis)
         lq = _log_softmax(pair.logits, axis)
-        return float(np.sum(np.exp(lp) * (lp - lq)))
+        kl = np.exp(lp) * (lp - lq)
+        # One contiguous sum per problem, in the order a 2-D np.sum takes.
+        return kl.reshape(*kl.shape[:-2], -1).sum(axis=-1)
 
-    return 0.5 * (directed(1) + directed(0))
+    loss = 0.5 * (directed(-1) + directed(-2))
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def kd_loss(pairs) -> float:
@@ -173,13 +181,7 @@ _PAIR_LEGS = {
 
 
 def _unique_by_identity(records):
-    seen = set()
-    out = []
-    for r in records:
-        if id(r) not in seen:
-            seen.add(id(r))
-            out.append(r)
-    return out
+    return list({id(r): r for r in records}.values())
 
 
 def distill_instances(
@@ -209,31 +211,23 @@ def distill_instances(
     return instances
 
 
-def _teacher_plan(dst, src, proj, solver_config) -> np.ndarray:
-    q, k, _ = project(dst, src, proj)
-    cost = cosine_cost(q, k)
-    return sinkhorn(cost, Marginals.uniform(cost.n, cost.m), solver_config).data
-
-
-def _student_logits(dst, src, proj) -> np.ndarray:
-    q, k, _ = project(dst, src, proj)
-    return q @ k.T / np.sqrt(proj.dim)
-
-
 def distill_pairs(
     mentions, golds, table: ProjectionTable, run: RunConfig, sites=PIPELINE_SITES
 ) -> dict[AssignmentSite, list[DistillPair]]:
-    """Teacher plans and student logits for every distilled assignment."""
+    """Teacher plans and student logits for every distilled assignment.
+
+    Each assignment is solved on its own, one 2-D problem at a time.
+    """
     solver = run.sinkhorn_config()
     out: dict[AssignmentSite, list[DistillPair]] = {}
     for site, pairs in distill_instances(mentions, golds, sites).items():
-        proj = table[site]
-        out[site] = [
-            DistillPair(
-                _teacher_plan(dst, src, proj, solver), _student_logits(dst, src, proj)
-            )
-            for dst, src in pairs
-        ]
+        out[site] = []
+        for dst, src in pairs:
+            q, k, h = project(dst, src, table[site])
+            cost = cosine_cost(q, k)
+            plan = sinkhorn(cost, Marginals.uniform(cost.n, cost.m), solver).data
+            logits = assign_projected(q, k, h, ATTENTION).logits
+            out[site].append(DistillPair(plan, logits))
     return out
 
 
@@ -248,12 +242,10 @@ def distill_gap(
     if not mentions:
         raise ConfigError("distillation gap needs at least one mention")
     golds = [dataset.gold_of(m) for m in mentions]
-    gaps = {}
-    for site, pairs in distill_pairs(mentions, golds, table, run, sites).items():
-        gaps[site] = float(
-            np.mean([kd_pair_loss(p.plan, p.logits) for p in pairs])
-        )
-    return gaps
+    return {
+        site: float(np.mean([kd_pair_loss(p.plan, p.logits) for p in pairs]))
+        for site, pairs in distill_pairs(mentions, golds, table, run, sites).items()
+    }
 
 
 # --- toy trainer ---------------------------------------------------------
@@ -313,36 +305,47 @@ class TraceRow:
     total: float
 
 
-@dataclass(frozen=True)
-class _Part:
-    """One assignment site's share of the batch objective under ``proj``.
+def _shape_groups(legs, kd_legs, proj: ProjectionSet, solver):
+    """Stack a site's legs (its assignment problems) by (dst, src) shape.
 
-    ``assignments`` holds one result per leg of the site. ``value`` is
-    what the matching losses read from the site: the stacked pooled
-    vectors of a cross-modal site (one row per mention or gold), the
-    mention-by-gold score matrix of a unimodal site, or None for a site
-    that is only distilled. ``kd`` is the site's distillation term.
+    Returns one ``(dst, src, kd_at, teachers)`` per shape: the stacked
+    destination and source rows of its legs, the group positions of its
+    legs in ``kd_legs``, and their transport plans under ``proj`` (None
+    when there are none). Then the orders that take the groups'
+    concatenated legs back to leg order, and their concatenated kd legs
+    to ``kd_legs`` order.
     """
-
-    proj: ProjectionSet
-    assignments: list[AssignmentResult]
-    value: np.ndarray | None
-    kd: float
+    by_shape: dict[tuple, list[int]] = {}
+    for k, (dst, src) in enumerate(legs):
+        by_shape.setdefault((dst.data.shape, src.data.shape), []).append(k)
+    kd_rank = {k: r for r, k in enumerate(kd_legs)}
+    groups, kd_ranks = [], []
+    for ks in by_shape.values():
+        dst = np.stack([legs[k][0].data for k in ks])
+        src = np.stack([legs[k][1].data for k in ks])
+        kd_at = [p for p, k in enumerate(ks) if k in kd_rank]
+        kd_ranks += [kd_rank[ks[p]] for p in kd_at]
+        teachers = assign(dst[kd_at], src[kd_at], proj, OT, solver).a if kd_at else None
+        groups.append((dst, src, kd_at, teachers))
+    leg_order = np.argsort(np.concatenate(list(by_shape.values())))
+    return groups, leg_order, np.argsort(np.array(kd_ranks, dtype=int))
 
 
 class _BatchObjective:
     """The batch objective as a function of one site's override.
 
-    Construction builds one part per scored or distilled site. A probe
-    that overrides one site rebuilds only that site's part, and
+    Construction groups each scored or distilled site's legs by shape and
+    builds one part per site: the value the matching losses read from it
+    (the stacked pooled vectors of a cross-modal site, one row per mention
+    or gold; the mention-by-gold score matrix of a unimodal site; None for
+    a site that is only distilled) and its distillation term. A part costs
+    one stacked assignment and one stacked kd evaluation per shape group.
+    A probe that overrides one site rebuilds only that site's part, and
     ``components()`` and ``loss_with()`` both combine parts through
-    ``_row``, so they sum in the same order. A probe whose ``w_q`` and
-    ``w_k`` equal the cached ones moves no assignment: it transports its
-    new values along the cached assignment matrices and keeps the cached
-    kd term. Teacher plans are computed once here and held constant
-    across probes, which makes the distillation term a pure student-side
-    objective within a step; the student logits are the attention logits
-    of the part's own assignments.
+    ``_row``, so they sum in the same order. Teacher plans are computed
+    once here and held constant across probes, which makes the
+    distillation term a pure student-side objective within a step; the
+    student logits are the attention logits of the part's own assignments.
     """
 
     def __init__(self, mentions, golds, table, run: RunConfig, kd_sites=()):
@@ -364,81 +367,71 @@ class _BatchObjective:
         # The (destination, source) legs of each site, and which of them
         # are distilled; a scored unimodal site scores every distinct gold
         # against every mention and distils the gold pairs.
-        self._pairs = distill_instances(self.mentions, self.golds, sites)
-        self._kd_legs = {site: range(len(legs)) for site, legs in self._pairs.items()}
+        pairs = distill_instances(self.mentions, self.golds, sites)
+        kd_legs = {site: range(len(pairs[site])) for site in self.kd_sites}
         if self.use_unimodal:
-            b = len(self.mentions)
             for site in UNIMODAL_SITES:
                 attr = _PAIR_LEGS[site][0]
-                self._pairs[site] = [
+                pairs[site] = [
                     (getattr(e, attr), getattr(m, attr))
                     for e in entities
                     for m in self.mentions
                 ]
-                self._kd_legs[site] = [
-                    u * b + i for i, u in enumerate(self._gold_slots)
-                ]
-        self._teachers = {
-            site: [
-                _teacher_plan(*self._pairs[site][k], table[site], self.solver)
-                for k in self._kd_legs[site]
-            ]
-            for site in self.kd_sites
+                if site in kd_legs:
+                    b = len(self.mentions)
+                    kd_legs[site] = [u * b + i for i, u in enumerate(self._gold_slots)]
+        self._groups = {
+            s: _shape_groups(pairs[s], kd_legs.get(s, ()), table[s], self.solver)
+            for s in sites
         }
         self.parts = {site: self._part(site, table[site]) for site in sites}
 
-    def _part(self, site, proj: ProjectionSet, base: _Part | None = None) -> _Part:
-        pairs = self._pairs[site]
-        if (
-            base is not None
-            and np.array_equal(proj.w_q, base.proj.w_q)
-            and np.array_equal(proj.w_k, base.proj.w_k)
-        ):
-            assignments, kd = base.assignments, base.kd
-            gs = [
-                r.a @ (src.data @ proj.w_h) for r, (_, src) in zip(assignments, pairs)
-            ]
-        else:
-            assignments = [
-                assign(dst, src, proj, self.run.mechanism, self.solver)
-                for dst, src in pairs
-            ]
-            gs = [r.g for r in assignments]
-            teachers = zip(self._teachers.get(site, ()), self._kd_legs[site])
-            kd = float(
-                sum(kd_pair_loss(plan, assignments[k].logits) for plan, k in teachers)
-            )
-        return _Part(proj, assignments, self._value(site, pairs, gs), kd)
-
-    def _value(self, site, pairs, gs) -> np.ndarray | None:
+    def _part(self, site, proj: ProjectionSet) -> tuple[np.ndarray | None, float]:
+        """The site's (value, kd term) under ``proj``."""
+        groups, leg_order, kd_order = self._groups[site]
+        results = [
+            assign(dst, src, proj, self.run.mechanism, self.solver)
+            for dst, src, *_ in groups
+        ]
+        terms = [
+            kd_pair_loss(teachers, r.logits[kd_at])
+            for (_, _, kd_at, teachers), r in zip(groups, results)
+            if kd_at
+        ]
+        # Python floats in kd-leg order sum as a per-leg loop would.
+        kd = float(sum(np.concatenate(terms)[kd_order].tolist())) if terms else 0.0
+        pool = self.run.pool
         if site in CROSS_MODAL_SITES and self.use_fused:
-            pooled = np.array(
-                [stack_pool([dst, g], self.run.pool) for (dst, _), g in zip(pairs, gs)]
-            )
+            pooled = np.concatenate(
+                [stack_pool([dst, r.g], pool) for (dst, *_), r in zip(groups, results)]
+            )[leg_order]
             is_mention = _CROSS_LEGS[site][0] == "mention"
-            return pooled if is_mention else pooled[self._gold_slots]
+            return (pooled if is_mention else pooled[self._gold_slots]), kd
         if site in UNIMODAL_SITES and self.use_unimodal:
-            grid = np.array(
+            # Row 0 of each side is its summary row.
+            values = np.concatenate(
                 [
-                    _unimodal_value(g, src.summary, dst.summary, self.run.pool)
-                    for (dst, src), g in zip(pairs, gs)
+                    _unimodal_value(r.g, src[:, 0], dst[:, 0], pool)
+                    for (dst, src, *_), r in zip(groups, results)
                 ]
-            ).reshape(-1, len(self.mentions))
+            )[leg_order]
+            grid = values.reshape(-1, len(self.mentions))
             # Contiguous like a filled matrix, so row sums add in the same order.
-            return np.ascontiguousarray(grid[self._gold_slots].T)
-        return None
+            return np.ascontiguousarray(grid[self._gold_slots].T), kd
+        return None, kd
 
-    def _row(self, parts: dict[AssignmentSite, _Part]) -> TraceRow:
+    def _row(self, parts: dict[AssignmentSite, tuple]) -> TraceRow:
         f = t = v = None
         if self.use_fused:
-            m_text, m_vis, e_text, e_vis = (parts[s].value for s in CROSS_MODAL_SITES)
-            f = m_text @ e_text.T + m_vis @ e_vis.T
+            m_text, m_vis, e_text, e_vis = (parts[s][0] for s in CROSS_MODAL_SITES)
+            # Each score is one dot product, summed as ranking sums it.
+            f = _rowdot(m_text[:, None], e_text) + _rowdot(m_vis[:, None], e_vis)
         if self.use_unimodal:
-            t, v = (parts[s].value for s in UNIMODAL_SITES)
+            t, v = (parts[s][0] for s in UNIMODAL_SITES)
         present = [x for x in (f, t, v) if x is not None]
         l_f, l_t, l_v = (0.0 if x is None else contrastive_loss(x) for x in (f, t, v))
         l_o = contrastive_loss(sum(present) / len(present))
-        l_kd = float(sum(parts[s].kd for s in self.kd_sites))
+        l_kd = float(sum(parts[s][1] for s in self.kd_sites))
         return TraceRow(
             step=0,
             l_f=l_f,
@@ -457,10 +450,9 @@ class _BatchObjective:
 
     def loss_with(self, site: AssignmentSite, proj: ProjectionSet) -> float:
         """Objective value with one site's projections overridden."""
-        base = self.parts.get(site)
-        if base is None:
+        if site not in self.parts:
             return self.loss()
-        return self._row({**self.parts, site: self._part(site, proj, base)}).total
+        return self._row({**self.parts, site: self._part(site, proj)}).total
 
 
 def _guard_sizes(dataset: Dataset, table: ProjectionTable) -> None:

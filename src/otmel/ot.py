@@ -89,7 +89,8 @@ class TransportPlan:
     plan; for a rounded Sinkhorn plan it is at floating-point level.
     ``residual`` is the L1 marginal error of the scaled plan before
     rounding, which shows how far the scaling got, and ``converged``
-    records whether it beat the solver tolerance. A stack of plans, of
+    records whether it beat the solver tolerance on an unclamped kernel
+    (see :attr:`SinkhornConfig.kernel_floor`). A stack of plans, of
     shape ``(..., n, m)``, carries each diagnostic as an array over the
     leading axes.
     """
@@ -128,7 +129,8 @@ class SinkhornConfig:
     max_iter: cap on full row/column update pairs; hitting it is not an
         error, the best available plan is returned flagged unconverged.
     kernel_floor: lower clamp applied to kernel entries so the scaling
-        divisions stay finite for extreme sharpness values.
+        divisions stay finite for extreme sharpness values; a solve whose
+        kernel needed it is reported unconverged.
     """
 
     sharpness: float = 0.6
@@ -149,8 +151,11 @@ def _as_cost(cost) -> CostMatrix:
     return cost if isinstance(cost, CostMatrix) else CostMatrix(cost)
 
 
-def _kernel(cost, marginals: Marginals, config: SinkhornConfig) -> np.ndarray:
-    """The clamped kernel ``exp(-sharpness * C)`` of a cost that fits the marginals."""
+def _kernel(cost, marginals: Marginals, config: SinkhornConfig):
+    """The clamped kernel ``exp(-sharpness * C)`` of a cost that fits the marginals.
+
+    Also returns, per problem, whether the clamp raised any entry.
+    """
     cost = _as_cost(cost)
     n, m = cost.n, cost.m
     mu, nu = marginals.mu, marginals.nu
@@ -159,8 +164,9 @@ def _kernel(cost, marginals: Marginals, config: SinkhornConfig) -> np.ndarray:
             f"marginals ({mu.shape[0]}, {nu.shape[0]}) do not match cost {n}x{m}"
         )
     kernel = np.exp(-config.sharpness * cost.data)
+    clamped = (kernel < config.kernel_floor).any(axis=(-2, -1))
     np.maximum(kernel, config.kernel_floor, out=kernel)
-    return kernel
+    return kernel, clamped
 
 
 def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -212,25 +218,26 @@ def sinkhorn(
     ``v = nu / (K^T u)`` until the combined L1 marginal error of
     ``diag(u) K diag(v)`` drops below ``tol`` or ``max_iter`` pairs have
     run; ``residual`` is that last error and ``converged`` whether it beat
-    ``tol``. The scaled plan is then rounded onto the marginals
-    (Altschuler, Weed & Rigollet 2017, Alg. 2): rows above ``mu`` are
-    shrunk and the remaining row and column deficits are filled by a
-    rank-1 term. The returned plan meets both marginals to floating-point
-    accuracy, converged or not, and lies within twice the residual (L1) of
-    the scaled plan. Deterministic for fixed inputs; never raises on slow
-    convergence. Solves one 2-D problem; see :func:`sinkhorn_stack` for
-    many.
+    ``tol`` with no kernel entry raised to ``kernel_floor`` (a clamped
+    kernel is another problem's). The scaled plan is then rounded onto the
+    marginals (Altschuler, Weed & Rigollet 2017, Alg. 2): rows above
+    ``mu`` are shrunk and the remaining row and column deficits are filled
+    by a rank-1 term. The returned plan meets both marginals to
+    floating-point accuracy, converged or not, and lies within twice the
+    residual (L1) of the scaled plan. Deterministic for fixed inputs; never
+    raises on slow convergence. Solves one 2-D problem; see
+    :func:`sinkhorn_stack` for many.
     """
-    kernel = _kernel(cost, marginals, config)
+    kernel, clamped = _kernel(cost, marginals, config)
     if kernel.ndim != 2:
         raise DimensionError(
             f"sinkhorn solves one 2-D problem, got shape {kernel.shape}; "
             "use sinkhorn_stack for a stack"
         )
-    return _scaled(kernel, marginals, config)
+    return _scaled(kernel, clamped, marginals, config)
 
 
-def _scaled(kernel, marginals: Marginals, config: SinkhornConfig) -> TransportPlan:
+def _scaled(kernel, clamped, marginals, config: SinkhornConfig) -> TransportPlan:
     """The 2-D scaling loop of :func:`sinkhorn` on its kernel, then rounding."""
     n, m = kernel.shape
     mu, nu = marginals.mu, marginals.nu
@@ -255,7 +262,7 @@ def _scaled(kernel, marginals: Marginals, config: SinkhornConfig) -> TransportPl
         data=plan,
         achieved_marginal_error=float(achieved),
         iterations_used=iterations,
-        converged=err < config.tol,
+        converged=bool(err < config.tol and not clamped),
         residual=float(err),
     )
 
@@ -276,12 +283,12 @@ def sinkhorn_stack(
     the leading axes. A stack holding one problem is solved by
     :func:`sinkhorn`, whose loop does less per iteration.
     """
-    kernel = _kernel(cost, marginals, config)
+    kernel, clamped = _kernel(cost, marginals, config)
     shape = kernel.shape
     n, m = shape[-2:]
     lead = shape[:-2]
     if kernel.size == n * m:
-        one = _scaled(kernel.reshape(n, m), marginals, config)
+        one = _scaled(kernel.reshape(n, m), bool(clamped.any()), marginals, config)
         return TransportPlan(
             data=one.data.reshape(shape),
             achieved_marginal_error=np.full(lead, one.achieved_marginal_error),
@@ -328,7 +335,7 @@ def sinkhorn_stack(
         data=plan.reshape(shape),
         achieved_marginal_error=achieved.reshape(lead),
         iterations_used=iterations.reshape(lead),
-        converged=(residual < config.tol).reshape(lead),
+        converged=((residual < config.tol) & ~clamped.reshape(-1)).reshape(lead),
         residual=residual.reshape(lead),
     )
 

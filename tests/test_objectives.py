@@ -1,9 +1,15 @@
+import itertools
+from dataclasses import replace
+
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otmel.config import RunConfig
 from otmel.correlation import PIPELINE_SITES, AssignmentSite, default_projections
+from otmel.data_io import Dataset
 from otmel.errors import ConfigError, DimensionError, NonFiniteError
 from otmel.fixtures import FixtureSpec, make_dataset
 from otmel.matching import Scorer
@@ -25,6 +31,7 @@ from otmel.objectives import (
     total_matching_loss,
     toy_train,
 )
+from otmel.types import FeatureMatrix
 
 
 def kd_oracle(plan, logits):
@@ -170,6 +177,25 @@ class TestKdLoss:
         with pytest.raises(NonFiniteError):
             DistillPair(np.array([[np.nan]]), np.array([[0.0]]))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(1, 6),
+        n=st.integers(1, 8),
+        m=st.integers(1, 8),
+        spread=st.sampled_from([0.1, 3.0, 40.0]),
+    )
+    def test_stack_matches_each_pair(self, seed, count, n, m, spread):
+        rng = np.random.default_rng(seed)
+        plans = rng.random((count, n, m))
+        logits = spread * rng.standard_normal((count, n, m))
+        stacked = kd_pair_loss(plans, logits)
+        assert stacked.shape == (count,)
+        for b in range(count):
+            single = kd_pair_loss(plans[b], logits[b])
+            assert isinstance(single, float)
+            assert stacked[b] == single
+
 
 class TestTotalLossWithKd:
     def test_zero_kd_reduces_to_matching(self, rng):
@@ -215,6 +241,30 @@ def repeated_golds_dataset():
 
 
 @pytest.fixture(scope="module")
+def mixed_lengths_dataset():
+    # Five mentions over three entities, each record cut to its own text
+    # and visual lengths, so every site's legs fall into several shapes.
+    spec = FixtureSpec(
+        seed=21, d=4, n_entities=3, n_mentions=5, text_len=6, visual_len=6,
+        noise_sigma=0.2,
+    )
+    dataset = make_dataset(spec)[0]
+
+    def cut(record, k):
+        return replace(
+            record,
+            text=FeatureMatrix(record.text.data[: 3 + k % 3]),
+            visual=FeatureMatrix(record.visual.data[: 2 + (2 * k) % 4]),
+        )
+
+    entities = tuple(cut(e, k) for k, e in enumerate(dataset.entities))
+    mentions = tuple(cut(m, k + 1) for k, m in enumerate(dataset.mentions))
+    for records in (entities, mentions):
+        assert len({(r.text.rows, r.visual.rows) for r in records}) >= 2
+    return Dataset(entities=entities, mentions=mentions, d=dataset.d)
+
+
+@pytest.fixture(scope="module")
 def tiny_table():
     return default_projections(4, seed=1)
 
@@ -226,22 +276,33 @@ def batch_of(dataset):
 
 class TestBatchObjectiveCaching:
     def test_matches_naive_composition_ot(
-        self, tiny_dataset, repeated_golds_dataset, tiny_table
+        self, tiny_dataset, repeated_golds_dataset, mixed_lengths_dataset, tiny_table
     ):
         run = _training_run(None, "ot")
-        for dataset in (tiny_dataset, repeated_golds_dataset):
+        # At d=16 a fused score summed as a matrix product drifts in the
+        # last bits from the dot products ranking takes.
+        wide = FixtureSpec(
+            seed=17, d=16, n_entities=4, n_mentions=4, text_len=4, visual_len=4,
+            noise_sigma=0.3,
+        )
+        for dataset, table in (
+            (tiny_dataset, tiny_table),
+            (repeated_golds_dataset, tiny_table),
+            (mixed_lengths_dataset, tiny_table),
+            (make_dataset(wide)[0], default_projections(16, seed=17, scale=2.0)),
+        ):
             mentions, golds = batch_of(dataset)
-            state = _BatchObjective(mentions, golds, tiny_table, run)
+            state = _BatchObjective(mentions, golds, table, run)
             naive = total_matching_loss(
-                batch_scores(mentions, golds, Scorer(tiny_table, run))
+                batch_scores(mentions, golds, Scorer(table, run))
             )
             assert state.loss() == naive
 
     def test_matches_naive_composition_kd(
-        self, tiny_dataset, repeated_golds_dataset, tiny_table
+        self, tiny_dataset, repeated_golds_dataset, mixed_lengths_dataset, tiny_table
     ):
         run = _training_run(None, "kd")
-        for dataset in (tiny_dataset, repeated_golds_dataset):
+        for dataset in (tiny_dataset, repeated_golds_dataset, mixed_lengths_dataset):
             mentions, golds = batch_of(dataset)
             state = _BatchObjective(mentions, golds, tiny_table, run, PIPELINE_SITES)
             pairs = distill_pairs(mentions, golds, tiny_table, run)
@@ -259,12 +320,16 @@ class TestBatchObjectiveCaching:
         for site in AssignmentSite:
             assert state.loss_with(site, tiny_table[site]) == base
 
-    def test_override_matches_full_recomputation(self, tiny_dataset, tiny_table):
-        mentions, golds = batch_of(tiny_dataset)
+    def test_override_matches_full_recomputation(
+        self, tiny_dataset, mixed_lengths_dataset, tiny_table
+    ):
         kd_both_ways = ToyTrainConfig(
             steps=0, objective="kd", include_reverse_sites=True
         ).distilled_sites()
-        for objective, kd_sites in (("ot", ()), ("kd", kd_both_ways)):
+        for dataset, (objective, kd_sites) in itertools.product(
+            (tiny_dataset, mixed_lengths_dataset), (("ot", ()), ("kd", kd_both_ways))
+        ):
+            mentions, golds = batch_of(dataset)
             run = _training_run(None, objective)
             state = _BatchObjective(mentions, golds, tiny_table, run, kd_sites)
             # Teacher plans stay those of the starting table across probes.

@@ -123,6 +123,23 @@ class TestSinkhorn:
         # The residual before rounding shows how far the scaling got.
         assert plan.residual >= 1e-12
 
+    def test_underflowed_kernel_never_reports_convergence(self):
+        # At this sharpness every kernel entry falls below kernel_floor: the
+        # clamped kernel is flat, so scaling balances it at once (residual
+        # 0 after one pair) and returns the uniform plan, far above the
+        # optimum. Such a solve must not claim convergence.
+        cost = 0.5 + 0.5 * np.random.default_rng(0).random((6, 6))
+        config = SinkhornConfig(sharpness=1500)
+        plan = sinkhorn(cost, Marginals.uniform(6, 6), config)
+        optimum = transport_cost(cost, exact_ot_uniform_square(cost))
+        assert transport_cost(cost, plan) > optimum + 0.1
+        assert not plan.converged
+        assert plan.residual == 0.0 and plan.iterations_used == 1
+        stack = sinkhorn_stack(
+            np.stack([cost, cost / 1000]), Marginals.uniform(6, 6), config
+        )
+        assert stack.converged.tolist() == [False, True]
+
 
 class TestSinkhornProperties:
     def test_feasibility_random(self, rng):
@@ -180,7 +197,7 @@ class TestSinkhornStack:
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        sharpness=st.sampled_from([0.6, 30.0, 50.0]),
+        sharpness=st.sampled_from([0.6, 30.0, 50.0, 1500.0]),
         count=st.integers(1, 6),
         n=st.integers(1, 8),
         m=st.integers(1, 8),
