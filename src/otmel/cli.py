@@ -24,23 +24,31 @@ from .correlation import (
     identity_projections,
 )
 from .data_io import load_manifest, load_projections, read_feature_file, save_projections
-from .errors import (
-    ConfigError,
-    DataError,
-    DimensionError,
-    OtmelError,
-    ParseError,
-)
+from .errors import ConfigError, DataError, DimensionError, OtmelError, ParseError
 from .evaluation import hits_at_k, mrr, rank_all
 from .fixtures import FixtureSpec, generate_fixtures
 from .matching import Scorer
-from .objectives import ToyTrainConfig, batch_loss_report, distill_gap, toy_train
+from .objectives import (
+    OBJECTIVES,
+    TRAINING_TOL,
+    ToyTrainConfig,
+    batch_loss_report,
+    distill_gap,
+    toy_train,
+)
 from .ot import CostMatrix, Marginals, plan_entropy, sinkhorn, transport_cost
 
-EXIT_PARSE = 2
-EXIT_DIMENSION = 3
-EXIT_CONFIG = 4
-EXIT_DATA = 5
+# Error class -> exit code (see above), first match wins. A file named on
+# the command line that cannot be read is unparseable input; one that a
+# manifest or projections index names is a DataError.
+_EXIT_CODES = (
+    (ParseError, 2),
+    (OSError, 2),
+    (DimensionError, 3),
+    (ConfigError, 4),
+    (DataError, 5),
+    (OtmelError, 1),
+)
 
 _FLOAT_FMT = "%.12g"
 
@@ -57,11 +65,7 @@ def _print_matrix(matrix: np.ndarray) -> None:
 def _read_cost_csv(path) -> CostMatrix:
     rows = []
     width = None
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -106,7 +110,12 @@ def _table_for(path, d: int, required=PIPELINE_SITES):
     return table
 
 
-def _run_config(args) -> RunConfig:
+def _run_config(args, **defaults) -> RunConfig:
+    """The command's run config: flags over ``--config`` file over ``defaults``.
+
+    ``defaults`` are the command's own departures from :class:`RunConfig`;
+    every other setting keeps the library's default.
+    """
     base = {}
     config_path = getattr(args, "config", None)
     if config_path:
@@ -116,20 +125,22 @@ def _run_config(args) -> RunConfig:
             raise ParseError(f"{config_path}: invalid JSON ({exc})") from exc
         if not isinstance(base, dict):
             raise ParseError(f"{config_path}: run config must be a JSON object")
+    ablations = base.get("ablations", [])
+    if not isinstance(ablations, list):
+        raise ParseError(f"{config_path}: field 'ablations' must be a JSON list")
     overrides = {
-        "mechanism": args.mechanism,
-        "sharpness": getattr(args, "sharpness", None),
-        "tol": getattr(args, "tol", None),
-        "max_iter": getattr(args, "max_iter", None),
+        "mechanism": getattr(args, "mechanism", None),
+        "sharpness": args.sharpness,
+        "tol": args.tol,
+        "max_iter": args.max_iter,
         "pool": getattr(args, "pool", None),
         "projections_path": getattr(args, "proj", None),
         "threads": getattr(args, "threads", None),
     }
-    merged = {**base, **{k: v for k, v in overrides.items() if v is not None}}
-    ablations = set(base.get("ablations", []))
-    ablations.update(getattr(args, "ablation", None) or [])
-    merged["ablations"] = frozenset(ablations)
+    merged = {**defaults, **base, **{k: v for k, v in overrides.items() if v is not None}}
+    flagged = getattr(args, "ablation", None) or []
     try:
+        merged["ablations"] = frozenset([*ablations, *flagged])
         return RunConfig(**merged)
     except TypeError as exc:
         raise ParseError(f"bad run config field: {exc}") from exc
@@ -140,21 +151,10 @@ def _run_config(args) -> RunConfig:
 
 def cmd_solve(args) -> int:
     cost = _read_cost_csv(args.cost_csv)
-    mu = (
-        _parse_vector(args.mu, "--mu")
-        if args.mu
-        else np.full(cost.n, 1.0 / cost.n)
-    )
-    nu = (
-        _parse_vector(args.nu, "--nu")
-        if args.nu
-        else np.full(cost.m, 1.0 / cost.m)
-    )
-    marginals = Marginals(mu, nu)
-    config = RunConfig(
-        sharpness=args.sharpness, tol=args.tol, max_iter=args.max_iter
-    ).sinkhorn_config()
-    plan = sinkhorn(cost, marginals, config)
+    uniform = Marginals.uniform(cost.n, cost.m)
+    mu = _parse_vector(args.mu, "--mu") if args.mu else uniform.mu
+    nu = _parse_vector(args.nu, "--nu") if args.nu else uniform.nu
+    plan = sinkhorn(cost, Marginals(mu, nu), _run_config(args).sinkhorn_config())
     _print_matrix(plan.data)
     print(
         "# cost=%s entropy=%s iterations=%d marginal_error=%.6e converged=%s"
@@ -177,11 +177,9 @@ def cmd_assign(args) -> int:
             f"query file has d={dst.cols}, source file has d={src.cols}"
         )
     site = AssignmentSite(args.site)
-    table = _table_for(args.proj, dst.cols, required=(site,))
-    config = RunConfig(
-        sharpness=args.sharpness, tol=args.tol, max_iter=args.max_iter
-    ).sinkhorn_config()
-    result = assign(dst, src, table[site], args.mechanism, config)
+    run = _run_config(args)
+    table = _table_for(run.projections_path, dst.cols, required=(site,))
+    result = assign(dst, src, table[site], run.mechanism, run.sinkhorn_config())
     _print_matrix(result.a)
     return 0
 
@@ -213,8 +211,6 @@ def cmd_link(args) -> int:
 
 def cmd_distill_gap(args) -> int:
     dataset = load_manifest(args.manifest)
-    if not dataset.mentions:
-        raise DataError(f"{args.manifest}: manifest lists no mentions")
     run = _run_config(args)
     table = _table_for(run.projections_path, dataset.d)
     gaps = distill_gap(dataset, table, run, PIPELINE_SITES)
@@ -227,9 +223,7 @@ def cmd_distill_gap(args) -> int:
 
 def cmd_loss(args) -> int:
     dataset = load_manifest(args.manifest)
-    if not dataset.mentions:
-        raise DataError(f"{args.manifest}: manifest lists no mentions")
-    run = _run_config(args)
+    run = _run_config(args, tol=TRAINING_TOL)
     table = _table_for(run.projections_path, dataset.d)
     row = batch_loss_report(dataset, table, run, args.objective)
     print("L_F,L_T,L_V,L_O,L_KD,J")
@@ -250,14 +244,14 @@ def cmd_gen_fixtures(args) -> int:
 
 def cmd_train_toy(args) -> int:
     dataset = load_manifest(args.manifest)
-    table = _table_for(args.proj, dataset.d)
+    run = _run_config(args, tol=TRAINING_TOL)
+    table = _table_for(run.projections_path, dataset.d)
     train = ToyTrainConfig(
         steps=args.steps,
         lr=args.lr,
         fd_step=args.fd_step,
         objective=args.objective,
     )
-    run = RunConfig(sharpness=args.sharpness, tol=args.tol, max_iter=args.max_iter)
     trained, trace = toy_train(dataset, table, train, run)
     print("step,L_F,L_T,L_V,L_O,L_KD,J")
     for row in trace:
@@ -279,31 +273,25 @@ def cmd_train_toy(args) -> int:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
+    # No defaults here: an absent flag leaves the setting to _run_config.
     p.add_argument(
         "--lambda",
         dest="sharpness",
         type=float,
-        default=0.6,
-        help="kernel concentration of the transport solver (default 0.6)",
+        help="kernel concentration of the transport solver",
     )
-    p.add_argument("--tol", type=float, default=1e-6, help="marginal-error tolerance")
-    p.add_argument("--max-iter", type=int, default=1000, help="solver iteration cap")
+    p.add_argument("--tol", type=float, help="marginal-error tolerance")
+    p.add_argument("--max-iter", type=int, help="solver iteration cap")
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with run-config defaults")
-    p.add_argument("--mechanism", choices=MECHANISMS, default=None)
-    _add_solver_flags_optional(p)
-    p.add_argument("--ablation", action="append", choices=ABLATIONS, default=None)
-    p.add_argument("--pool", choices=POOL_KINDS, default=None)
+    p.add_argument("--mechanism", choices=MECHANISMS)
+    _add_solver_flags(p)
+    p.add_argument("--ablation", action="append", choices=ABLATIONS)
+    p.add_argument("--pool", choices=POOL_KINDS)
     p.add_argument("--proj", help="projections index file or directory")
-    p.add_argument("--threads", type=int, default=None, help="0 = auto")
-
-
-def _add_solver_flags_optional(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lambda", dest="sharpness", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=None)
+    p.add_argument("--threads", type=int, help="0 = auto")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--proj", help="projections index (default: identity)")
     p.add_argument("--site", default=AssignmentSite.MENTION_VISUAL_TO_TEXT.value,
                    choices=[s.value for s in AssignmentSite])
-    p.add_argument("--mechanism", choices=MECHANISMS, default="ot")
+    p.add_argument("--mechanism", choices=MECHANISMS)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_assign)
 
@@ -354,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("loss", help="batch losses for a manifest")
     p.add_argument("manifest")
-    p.add_argument("--objective", choices=("ot", "kd"), default="ot")
+    p.add_argument("--objective", choices=OBJECTIVES, default=ToyTrainConfig.objective)
     _add_run_flags(p)
     p.set_defaults(func=cmd_loss)
 
@@ -366,37 +354,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-toy", help="finite-difference training run")
     p.add_argument("manifest")
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--lr", type=float, default=1e-2)
-    p.add_argument("--fd-step", type=float, default=1e-4)
-    p.add_argument("--objective", choices=("ot", "kd"), default="ot")
+    p.add_argument("--lr", type=float, default=ToyTrainConfig.lr)
+    p.add_argument("--fd-step", type=float, default=ToyTrainConfig.fd_step)
+    p.add_argument("--objective", choices=OBJECTIVES, default=ToyTrainConfig.objective)
     p.add_argument("--proj", help="initial projections (default: identity)")
     p.add_argument("--save-proj", help="directory for the trained projections")
     _add_solver_flags(p)
-    p.set_defaults(func=cmd_train_toy, tol=1e-9)
+    p.set_defaults(func=cmd_train_toy)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (OtmelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except DimensionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OtmelError as exc:  # pragma: no cover - safety net
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -30,13 +30,14 @@ class RunConfig:
     aggregation used everywhere pooling happens. ``threads`` (0 meaning
     auto, from ``OTMEL_THREADS`` or the core count) is still validated and
     resolved, but ranking runs in one thread: stacked scoring left a
-    thread pool nothing to gain.
+    thread pool nothing to gain. The solver fields take their defaults
+    from, and are validated by, :class:`~otmel.ot.SinkhornConfig`.
     """
 
     mechanism: str = OT
-    sharpness: float = 0.6
-    tol: float = 1e-6
-    max_iter: int = 1000
+    sharpness: float = SinkhornConfig.sharpness
+    tol: float = SinkhornConfig.tol
+    max_iter: int = SinkhornConfig.max_iter
     ablations: frozenset[str] = field(default_factory=frozenset)
     pool: str = POOL_SOFT
     projections_path: str | None = None
@@ -45,8 +46,7 @@ class RunConfig:
     def __post_init__(self):
         if self.mechanism not in MECHANISMS:
             raise ConfigError(f"mechanism must be one of {MECHANISMS}")
-        if not self.sharpness > 0:
-            raise ConfigError(f"sharpness must be positive, got {self.sharpness}")
+        self.sinkhorn_config()
         if self.pool not in POOL_KINDS:
             raise ConfigError(f"pool must be one of {POOL_KINDS}")
         unknown = set(self.ablations) - set(ABLATIONS)

@@ -110,12 +110,20 @@ def _manifest_field(doc: dict, key: str, path):
         raise ParseError(f"{path}: manifest is missing required key {key!r}") from None
 
 
+def _read_named(path: Path, role: str = "generic") -> FeatureMatrix:
+    """Read a feature file that a manifest or index names; unreadable is a DataError."""
+    try:
+        return read_feature_file(path, role=role)
+    except OSError as exc:
+        raise DataError(f"{path}: named file cannot be read ({exc.strerror})") from exc
+
+
 def _load_record_matrices(base: Path, item: dict, roles, path):
     for key in ("id", "text_path", "visual_path"):
         if key not in item:
             raise ParseError(f"{path}: record entry is missing {key!r}")
-    text = read_feature_file(base / item["text_path"], role=roles[0])
-    visual = read_feature_file(base / item["visual_path"], role=roles[1])
+    text = _read_named(base / item["text_path"], roles[0])
+    visual = _read_named(base / item["visual_path"], roles[1])
     return item["id"], text, visual
 
 
@@ -235,7 +243,7 @@ def load_projections(path) -> ProjectionTable:
         except ValueError:
             raise ParseError(f"{path}: unknown assignment site {site_value!r}") from None
         mats = {
-            name: read_feature_file(base / entry[name]).data
+            name: _read_named(base / entry[name]).data
             for name in ("w_q", "w_k", "w_h")
         }
         table[site] = ProjectionSet(site=site.value, **mats)

@@ -154,8 +154,6 @@ def _unimodal_value(g, t_m, t_e, pool) -> np.ndarray:
     ``g`` and ``t_e`` gives one score per stacked entity.
     """
     pooled = stack_pool([g], pool)
-    if pooled.ndim == 1:
-        return 0.5 * (pooled @ t_e + t_m @ t_e)
     return 0.5 * (_rowdot(pooled, t_e) + _rowdot(t_m, t_e))
 
 
@@ -236,8 +234,8 @@ class Scorer:
 
         Records of one kind and one (text, visual) shape are solved
         together, in stacks of at most ``_BLOCK`` records; a record alone
-        in its group is solved unstacked, by :meth:`pooled`. Does nothing
-        when the fused score, the only reader of pooled vectors, is ablated.
+        in its group is a stack of one. Does nothing when the fused score,
+        the only reader of pooled vectors, is ablated.
         """
         if not self.uses_fused:
             return
@@ -250,9 +248,6 @@ class Scorer:
         solver = self._solver_config
         for group in groups.values():
             group = list(group.values())
-            if len(group) == 1:
-                self.pooled(group[0])
-                continue
             v2t_proj, t2v_proj = (self.projections[s] for s in record_sites(group[0]))
             for start in range(0, len(group), _BLOCK):
                 block = group[start : start + _BLOCK]
@@ -282,9 +277,9 @@ class Scorer:
     def _unimodal(self, mention, block, which: int) -> np.ndarray:
         """One unimodal site's scores of the mention against a block of entities.
 
-        Entities are grouped by sequence length and each group is solved as
-        one stack, or unstacked if it holds one entity; groups are never
-        padded, since padding would change the uniform marginals.
+        Entities are grouped by sequence length and each group, even one
+        entity alone at its length, is solved as one stack; groups are
+        never padded, since padding would change the uniform marginals.
         """
         site, attr = _UNIMODAL[which]
         proj = self.projections[site]
@@ -296,12 +291,8 @@ class Scorer:
             groups.setdefault(getattr(e, attr).rows, []).append(j)
         values = np.empty(len(block))
         for rows in groups.values():
-            if len(rows) == 1:
-                q = self._entity_queries(block[rows[0]])[which]
-                t_e = getattr(block[rows[0]], attr).summary
-            else:
-                q = np.stack([self._entity_queries(block[j])[which] for j in rows])
-                t_e = np.stack([getattr(block[j], attr).summary for j in rows])
+            q = np.stack([self._entity_queries(block[j])[which] for j in rows])
+            t_e = np.stack([getattr(block[j], attr).summary for j in rows])
             g = assign_projected(q, k, h, self.config.mechanism, self._solver_config).g
             values[rows] = _unimodal_value(g, side.summary, t_e, self.config.pool)
         return values

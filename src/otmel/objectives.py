@@ -35,7 +35,7 @@ from .correlation import (
     project,
 )
 from .data_io import Dataset
-from .errors import ConfigError, DimensionError, NonFiniteError
+from .errors import ConfigError, DataError, DimensionError, NonFiniteError
 from .matching import Scorer, _rowdot, _unimodal_value, stack_pool
 from .ot import Marginals, sinkhorn
 from .types import FeatureMatrix, ProjectionSet
@@ -211,6 +211,14 @@ def distill_instances(
     return instances
 
 
+def _gold_pairs(dataset: Dataset):
+    """The dataset's mentions and their gold entities; there must be a mention."""
+    mentions = list(dataset.mentions)
+    if not mentions:
+        raise DataError("manifest lists no mentions")
+    return mentions, [dataset.gold_of(m) for m in mentions]
+
+
 def distill_pairs(
     mentions, golds, table: ProjectionTable, run: RunConfig, sites=PIPELINE_SITES
 ) -> dict[AssignmentSite, list[DistillPair]]:
@@ -238,10 +246,7 @@ def distill_gap(
     sites=PIPELINE_SITES,
 ) -> dict[AssignmentSite, float]:
     """Mean per-site divergence between transport plans and attention logits."""
-    mentions = list(dataset.mentions)
-    if not mentions:
-        raise ConfigError("distillation gap needs at least one mention")
-    golds = [dataset.gold_of(m) for m in mentions]
+    mentions, golds = _gold_pairs(dataset)
     return {
         site: float(np.mean([kd_pair_loss(p.plan, p.logits) for p in pairs]))
         for site, pairs in distill_pairs(mentions, golds, table, run, sites).items()
@@ -252,6 +257,11 @@ def distill_gap(
 
 OBJECTIVE_OT = "ot"
 OBJECTIVE_KD = "kd"
+OBJECTIVES = (OBJECTIVE_OT, OBJECTIVE_KD)
+
+# The trainer's solver tolerance, tighter than ranking's so the central
+# differences stay smooth. Batch loss reports score at it too.
+TRAINING_TOL = 1e-9
 
 MAX_TRAIN_DIM = 16
 MAX_TRAIN_LEN = 8
@@ -277,7 +287,7 @@ class ToyTrainConfig:
             raise ConfigError(f"lr must be >= 0, got {self.lr}")
         if not self.fd_step > 0:
             raise ConfigError(f"fd_step must be positive, got {self.fd_step}")
-        if self.objective not in (OBJECTIVE_OT, OBJECTIVE_KD):
+        if self.objective not in OBJECTIVES:
             raise ConfigError(
                 f"objective must be {OBJECTIVE_OT!r} or {OBJECTIVE_KD!r}, "
                 f"got {self.objective!r}"
@@ -476,18 +486,13 @@ def _guard_sizes(dataset: Dataset, table: ProjectionTable) -> None:
 
 
 def _training_run(run: RunConfig | None, objective: str) -> RunConfig:
-    # A tighter solver tolerance than ranking runs keeps the central
-    # differences smooth.
-    base = run if run is not None else RunConfig(tol=1e-9)
+    base = run if run is not None else RunConfig(tol=TRAINING_TOL)
     mechanism = OT if objective == OBJECTIVE_OT else ATTENTION
     return replace(base, mechanism=mechanism)
 
 
 def _objective_state(dataset, table, train: ToyTrainConfig, run: RunConfig):
-    mentions = list(dataset.mentions)
-    if not mentions:
-        raise ConfigError("the batch objective needs at least one mention")
-    golds = [dataset.gold_of(m) for m in mentions]
+    mentions, golds = _gold_pairs(dataset)
     return _BatchObjective(mentions, golds, table, run, train.distilled_sites())
 
 

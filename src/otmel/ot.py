@@ -27,6 +27,11 @@ import numpy as np
 from .errors import ConfigError, DimensionError, NonFiniteError
 from .types import freeze_array
 
+# Lower clamp on kernel entries, so the scaling divisions stay finite for
+# extreme sharpness values; a solve whose kernel needed it is reported
+# unconverged.
+KERNEL_FLOOR = 1e-300
+
 
 @dataclass(frozen=True)
 class CostMatrix:
@@ -90,7 +95,7 @@ class TransportPlan:
     ``residual`` is the L1 marginal error of the scaled plan before
     rounding, which shows how far the scaling got, and ``converged``
     records whether it beat the solver tolerance on an unclamped kernel
-    (see :attr:`SinkhornConfig.kernel_floor`). A stack of plans, of
+    (see :data:`KERNEL_FLOOR`). A stack of plans, of
     shape ``(..., n, m)``, carries each diagnostic as an array over the
     leading axes.
     """
@@ -128,15 +133,14 @@ class SinkhornConfig:
         scaled plan, before rounding.
     max_iter: cap on full row/column update pairs; hitting it is not an
         error, the best available plan is returned flagged unconverged.
-    kernel_floor: lower clamp applied to kernel entries so the scaling
-        divisions stay finite for extreme sharpness values; a solve whose
-        kernel needed it is reported unconverged.
+
+    The kernel's lower clamp is not a knob: it is the module constant
+    :data:`KERNEL_FLOOR`.
     """
 
     sharpness: float = 0.6
     tol: float = 1e-6
     max_iter: int = 1000
-    kernel_floor: float = 1e-300
 
     def __post_init__(self):
         if not self.sharpness > 0:
@@ -164,8 +168,8 @@ def _kernel(cost, marginals: Marginals, config: SinkhornConfig):
             f"marginals ({mu.shape[0]}, {nu.shape[0]}) do not match cost {n}x{m}"
         )
     kernel = np.exp(-config.sharpness * cost.data)
-    clamped = (kernel < config.kernel_floor).any(axis=(-2, -1))
-    np.maximum(kernel, config.kernel_floor, out=kernel)
+    clamped = (kernel < KERNEL_FLOOR).any(axis=(-2, -1))
+    np.maximum(kernel, KERNEL_FLOOR, out=kernel)
     return kernel, clamped
 
 
@@ -218,7 +222,7 @@ def sinkhorn(
     ``v = nu / (K^T u)`` until the combined L1 marginal error of
     ``diag(u) K diag(v)`` drops below ``tol`` or ``max_iter`` pairs have
     run; ``residual`` is that last error and ``converged`` whether it beat
-    ``tol`` with no kernel entry raised to ``kernel_floor`` (a clamped
+    ``tol`` with no kernel entry raised to :data:`KERNEL_FLOOR` (a clamped
     kernel is another problem's). The scaled plan is then rounded onto the
     marginals (Altschuler, Weed & Rigollet 2017, Alg. 2): rows above
     ``mu`` are shrunk and the remaining row and column deficits are filled

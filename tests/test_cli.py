@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -377,3 +378,126 @@ class TestTrainToy:
         manifest = str(generate_fixtures(spec, tmp_path / "big"))
         code, _, _ = run(capsys, "train-toy", manifest, "--steps", "1")
         assert code == 4
+
+
+@pytest.fixture
+def kd_manifest(tmp_path):
+    # The manifest on which teacher plans solved at ranking's tolerance
+    # moved the kd objective in its 10th digit.
+    spec = FixtureSpec(
+        seed=3, d=8, n_entities=4, n_mentions=4, text_len=4, visual_len=4,
+        noise_sigma=0.3,
+    )
+    return str(generate_fixtures(spec, tmp_path / "kd"))
+
+
+class TestRunSettings:
+    """Every subcommand resolves its settings through one path."""
+
+    def test_solve_defaults_are_the_library_solver_defaults(self, capsys, cost_csv):
+        _, default, _ = run(capsys, "solve", cost_csv)
+        _, explicit, _ = run(
+            capsys, "solve", cost_csv, "--lambda", "0.6", "--tol", "1e-6",
+            "--max-iter", "1000",
+        )
+        assert default == explicit
+
+    def test_assign_defaults_are_the_library_solver_defaults(self, capsys, kd_manifest):
+        mentions = Path(kd_manifest).parent / "mentions"
+        files = (str(mentions / "m0000_text.otml"), str(mentions / "m0000_visual.otml"))
+        _, default, _ = run(capsys, "assign", *files)
+        _, explicit, _ = run(
+            capsys, "assign", *files, "--mechanism", "ot", "--lambda", "0.6",
+            "--tol", "1e-6", "--max-iter", "1000",
+        )
+        assert default == explicit
+
+    def test_train_toy_defaults_to_the_training_tolerance(self, capsys, kd_manifest):
+        _, default, _ = run(capsys, "train-toy", kd_manifest, "--steps", "0")
+        _, explicit, _ = run(
+            capsys, "train-toy", kd_manifest, "--steps", "0", "--tol", "1e-9"
+        )
+        assert default == explicit
+
+    @pytest.mark.parametrize("objective", ["ot", "kd"])
+    def test_loss_row_is_the_trainers_starting_row(self, capsys, kd_manifest, objective):
+        code, loss_out, _ = run(capsys, "loss", kd_manifest, "--objective", objective)
+        assert code == 0
+        _, train_out, _ = run(
+            capsys, "train-toy", kd_manifest, "--steps", "0", "--objective", objective
+        )
+        assert train_out.splitlines()[1] == "0," + loss_out.splitlines()[1]
+
+    def test_loss_config_file_then_flag(self, capsys, kd_manifest, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"tol": 1e-6}))
+        kd = ("--objective", "kd")
+        _, from_file, _ = run(capsys, "loss", kd_manifest, *kd, "--config", str(cfg))
+        _, from_flag, _ = run(capsys, "loss", kd_manifest, *kd, "--tol", "1e-6")
+        assert from_file == from_flag
+        _, flag_wins, _ = run(
+            capsys, "loss", kd_manifest, *kd, "--config", str(cfg), "--tol", "1e-9"
+        )
+        _, default, _ = run(capsys, "loss", kd_manifest, *kd)
+        assert flag_wins == default != from_file
+
+
+class TestInputErrors:
+    """Unreadable command-line files exit 2; unresolvable references exit 5."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("link", "{missing}"),
+            ("link", "{manifest}", "--proj", "{missing}"),
+            ("link", "{manifest}", "--config", "{missing}"),
+            ("assign", "{missing}", "{missing}"),
+            ("gen-fixtures", "{missing}", "{out}"),
+        ],
+    )
+    def test_missing_command_line_file_exit_2(
+        self, capsys, tmp_path, fixture_manifest, argv
+    ):
+        names = {
+            "missing": str(tmp_path / "nonexist.json"),
+            "manifest": fixture_manifest,
+            "out": str(tmp_path / "out"),
+        }
+        code, _, err = run(capsys, *(a.format(**names) for a in argv))
+        assert code == 2
+        assert "nonexist.json" in err
+
+    def test_manifest_naming_a_missing_file_exit_5(self, capsys, fixture_manifest):
+        doc = json.loads(open(fixture_manifest).read())
+        (Path(fixture_manifest).parent / doc["mentions"][0]["text_path"]).unlink()
+        code, _, err = run(capsys, "link", fixture_manifest)
+        assert code == 5
+        assert doc["mentions"][0]["text_path"] in err
+
+    def test_projections_index_naming_a_missing_file_exit_5(
+        self, capsys, tmp_path, fixture_manifest
+    ):
+        from otmel.correlation import identity_projections
+        from otmel.data_io import save_projections
+
+        index = save_projections(identity_projections(12), tmp_path / "proj")
+        (index.parent / "m_v2t.w_q.otml").unlink()
+        code, _, _ = run(capsys, "link", fixture_manifest, "--proj", str(index))
+        assert code == 5
+
+    # TestDistillGap covers distill-gap.
+    @pytest.mark.parametrize("argv", [("train-toy", "--steps", "1"), ("loss",)])
+    def test_manifest_without_mentions_exit_5(self, capsys, tmp_path, argv):
+        doc = {"schema_version": 1, "d": 4, "entities": [], "mentions": []}
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 5
+        assert "no mentions" in err
+
+    def test_config_ablations_must_be_a_list(self, capsys, fixture_manifest, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"ablations": "no_fusm"}))
+        code, _, err = run(capsys, "link", fixture_manifest, "--config", str(cfg))
+        assert code == 2
+        assert "ablations" in err and "list" in err

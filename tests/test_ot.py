@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from otmel.config import RunConfig
 from otmel.errors import ConfigError, DimensionError, NonFiniteError
 from otmel.ot import (
     CostMatrix,
@@ -124,7 +125,7 @@ class TestSinkhorn:
         assert plan.residual >= 1e-12
 
     def test_underflowed_kernel_never_reports_convergence(self):
-        # At this sharpness every kernel entry falls below kernel_floor: the
+        # At this sharpness every kernel entry falls below KERNEL_FLOOR: the
         # clamped kernel is flat, so scaling balances it at once (residual
         # 0 after one pair) and returns the uniform plan, far above the
         # optimum. Such a solve must not claim convergence.
@@ -327,6 +328,14 @@ class TestConfigValidation:
     def test_max_iter_at_least_one(self):
         with pytest.raises(ConfigError):
             SinkhornConfig(max_iter=0)
+
+    @pytest.mark.parametrize(
+        "field", [{"sharpness": 0.0}, {"tol": 0.0}, {"max_iter": 0}]
+    )
+    def test_run_config_rejects_bad_solver_field_at_construction(self, field):
+        # Not at first use: a run config that exists can build its solver.
+        with pytest.raises(ConfigError):
+            RunConfig(**field)
 
     def test_plan_rejects_negative_entries(self):
         with pytest.raises(ConfigError):
