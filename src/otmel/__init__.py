@@ -32,6 +32,7 @@ from .errors import (
     DataError,
     DimensionError,
     OtmelError,
+    OutputError,
     ParseError,
 )
 from .evaluation import RankingResult, hits_at_k, mrr, rank_all, rank_candidates

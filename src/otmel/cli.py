@@ -1,7 +1,8 @@
 """Batch command-line interface.
 
 Exit codes: 0 success, 2 unparseable input, 3 dimension mismatch,
-4 invalid parameter or size guard, 5 unresolved data reference. All data
+4 invalid parameter or size guard, 5 unresolved data reference,
+6 output that cannot be written. All data
 lines are deterministic for fixed inputs; human-facing matrices are CSV,
 bulk features use the binary format of ``otmel.data_io``.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,14 @@ from .correlation import (
     identity_projections,
 )
 from .data_io import load_manifest, load_projections, read_feature_file, save_projections
-from .errors import ConfigError, DataError, DimensionError, OtmelError, ParseError
+from .errors import (
+    ConfigError,
+    DataError,
+    DimensionError,
+    OtmelError,
+    OutputError,
+    ParseError,
+)
 from .evaluation import hits_at_k, mrr, rank_all
 from .fixtures import FixtureSpec, generate_fixtures
 from .matching import Scorer
@@ -47,6 +56,7 @@ _EXIT_CODES = (
     (DimensionError, 3),
     (ConfigError, 4),
     (DataError, 5),
+    (OutputError, 6),
     (OtmelError, 1),
 )
 
@@ -86,6 +96,15 @@ def _read_cost_csv(path) -> CostMatrix:
     if not rows:
         raise ParseError(f"{path}: no data rows")
     return CostMatrix(np.array(rows))
+
+
+@contextmanager
+def _writing(path):
+    """Report an OSError raised while writing ``path`` as an OutputError."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc}") from exc
 
 
 def _parse_vector(text: str, flag: str) -> np.ndarray:
@@ -186,6 +205,8 @@ def cmd_assign(args) -> int:
 
 def cmd_link(args) -> int:
     dataset = load_manifest(args.manifest)
+    if not dataset.mentions:
+        raise DataError("manifest lists no mentions")
     run = _run_config(args)
     table = _table_for(run.projections_path, dataset.d)
     scorer = Scorer(table, run)
@@ -237,7 +258,8 @@ def cmd_loss(args) -> int:
 
 def cmd_gen_fixtures(args) -> int:
     spec = FixtureSpec.from_json(args.spec_file)
-    manifest = generate_fixtures(spec, args.out_dir)
+    with _writing(args.out_dir):
+        manifest = generate_fixtures(spec, args.out_dir)
     print(manifest)
     return 0
 
@@ -265,7 +287,8 @@ def cmd_train_toy(args) -> int:
             )
         )
     if args.save_proj:
-        save_projections(trained, args.save_proj)
+        with _writing(args.save_proj):
+            save_projections(trained, args.save_proj)
     return 0
 
 
@@ -284,14 +307,14 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iter", type=int, help="solver iteration cap")
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
+def _add_run_flags(p: argparse.ArgumentParser, scoring: bool) -> None:
+    """The run flags of a manifest command; ``scoring`` adds the ones scores read."""
     p.add_argument("--config", help="JSON file with run-config defaults")
-    p.add_argument("--mechanism", choices=MECHANISMS)
     _add_solver_flags(p)
-    p.add_argument("--ablation", action="append", choices=ABLATIONS)
-    p.add_argument("--pool", choices=POOL_KINDS)
     p.add_argument("--proj", help="projections index file or directory")
-    p.add_argument("--threads", type=int, help="0 = auto")
+    if scoring:
+        p.add_argument("--ablation", action="append", choices=ABLATIONS)
+        p.add_argument("--pool", choices=POOL_KINDS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,7 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_false",
         help="emit rankings only (gold ids not required)",
     )
-    _add_run_flags(p)
+    p.add_argument("--mechanism", choices=MECHANISMS)
+    p.add_argument("--threads", type=int, help="0 = auto")
+    _add_run_flags(p, scoring=True)
     p.set_defaults(func=cmd_link)
 
     p = sub.add_parser(
@@ -337,13 +362,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-site divergence between transport plans and attention",
     )
     p.add_argument("manifest")
-    _add_run_flags(p)
+    _add_run_flags(p, scoring=False)
     p.set_defaults(func=cmd_distill_gap)
 
     p = sub.add_parser("loss", help="batch losses for a manifest")
     p.add_argument("manifest")
     p.add_argument("--objective", choices=OBJECTIVES, default=ToyTrainConfig.objective)
-    _add_run_flags(p)
+    _add_run_flags(p, scoring=True)
     p.set_defaults(func=cmd_loss)
 
     p = sub.add_parser("gen-fixtures", help="generate a synthetic dataset")

@@ -1,6 +1,6 @@
 """Exception hierarchy shared across the package.
 
-The four direct subclasses of :class:`OtmelError` partition failures by
+The five direct subclasses of :class:`OtmelError` partition failures by
 cause; the CLI maps each branch to one process exit code (see
 ``otmel.cli``).
 """
@@ -24,6 +24,10 @@ class ConfigError(OtmelError):
 
 class DataError(OtmelError):
     """Dataset references do not resolve (missing, duplicate, or absent ids)."""
+
+
+class OutputError(OtmelError):
+    """An output file or directory could not be written."""
 
 
 class NonFiniteError(ConfigError):

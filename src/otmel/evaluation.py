@@ -75,16 +75,18 @@ def rank_all(
 ) -> list[RankingResult]:
     """Rank every mention against the shared candidate set.
 
-    Entities and mentions are warmed in stacks up front, then each mention
-    is scored against the whole catalog in one call. ``threads`` is
+    Entities and mentions are warmed in stacks up front (unless the fused
+    score, the only reader of pooled vectors, is ablated), then each
+    mention is scored against the whole catalog in one call. ``threads`` is
     accepted and ignored: ranking runs in one thread, because with stacked
     scoring a thread pool only added contention, and results never depended
     on it.
     """
     entities = list(entities)
     mentions = list(mentions)
-    scorer.warm(entities)
-    scorer.warm(mentions)
+    if scorer.uses_fused:
+        scorer.warm(entities)
+        scorer.warm(mentions)
     return [rank_candidates(m, entities, scorer, evaluate) for m in mentions]
 
 

@@ -28,7 +28,6 @@ from .correlation import (
     RecordInteraction,
     assign,
     assign_projected,
-    interact_record,
     record_sites,
 )
 from .errors import ConfigError, DimensionError
@@ -219,26 +218,18 @@ class Scorer:
         return ABLATION_NO_UNIMODAL not in self.config.ablations
 
     def pooled(self, record) -> tuple[np.ndarray, np.ndarray]:
-        """The record's pooled (text, visual) vectors; a miss solves it alone."""
-        found = _hit(self._pooled, record)
-        if found is None:
-            interaction = interact_record(
-                record, self.projections, self.config.mechanism, self._solver_config
-            )
-            found = pooled_pair(record, interaction, self.config.pool)
-            self._pooled[id(record)] = (record, found)
-        return found
+        """The record's pooled (text, visual) vectors; a miss warms it alone."""
+        if _hit(self._pooled, record) is None:
+            self.warm([record])
+        return _hit(self._pooled, record)
 
     def warm(self, records) -> None:
         """Cache the pooled vectors of every record not cached yet.
 
         Records of one kind and one (text, visual) shape are solved
         together, in stacks of at most ``_BLOCK`` records; a record alone
-        in its group is a stack of one. Does nothing when the fused score,
-        the only reader of pooled vectors, is ablated.
+        in its group is a stack of one.
         """
-        if not self.uses_fused:
-            return
         groups: dict[tuple, dict[int, object]] = {}
         for r in records:
             if _hit(self._pooled, r) is None:
@@ -309,8 +300,8 @@ class Scorer:
         entities = list(entities)
         count = len(entities)
         s_f, s_t, s_v = np.zeros(count), np.zeros(count), np.zeros(count)
-        self.warm(entities)
         if self.uses_fused:
+            self.warm(entities)
             m_text, m_vis = self.pooled(mention)
         for start in range(0, count, _BLOCK):
             block = entities[start : start + _BLOCK]

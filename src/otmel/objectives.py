@@ -6,11 +6,11 @@ compares a transport plan (teacher, held constant) against attention
 logits (student) through row- and column-wise KL divergences. The toy
 trainer descends these objectives over the projection tables with central
 finite differences; it is meant for small synthetic datasets only and
-guards its input sizes accordingly. Its batch objective keeps one part per
-assignment site (the value the matching losses read from it and its
-distillation term), built from one stacked assignment per shape of the
-site's problems, so a probe that perturbs one site rebuilds only that
-site's part.
+guards its input sizes accordingly. Its batch objective holds what a step
+keeps fixed (each site's problems stacked by shape, and the teacher plans)
+and recomputes every site from the table it is given. All probes of one
+projection matrix go in as one stack of perturbed copies, which passes
+through assignment, pooling and the losses as one more leading axis.
 """
 
 from __future__ import annotations
@@ -46,17 +46,21 @@ def _log_softmax(x: np.ndarray, axis: int) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
-def contrastive_loss(scores: np.ndarray) -> float:
+def contrastive_loss(scores: np.ndarray) -> float | np.ndarray:
     """Mean over rows of the negative log-softmax mass on the diagonal.
 
     Row i is mention i's scores over the in-batch candidates, with the
-    gold entity at column i.
+    gold entity at column i. A ``(..., b, b)`` stack gives an array over
+    the leading axes, each term equal, bit for bit, to the one its
+    ``(b, b)`` matrix gives alone.
     """
-    scores = np.asarray(scores, float)
-    if scores.ndim != 2 or scores.shape[0] != scores.shape[1]:
+    # Contiguous rows, so each row's sum adds in one order whatever the layout.
+    scores = np.ascontiguousarray(scores, float)
+    if scores.ndim < 2 or scores.shape[-1] != scores.shape[-2]:
         raise DimensionError(f"score matrix must be square, got {scores.shape}")
-    log_probs = _log_softmax(scores, axis=1)
-    return float(-np.mean(np.diag(log_probs)))
+    log_probs = _log_softmax(scores, axis=-1)
+    loss = -np.diagonal(log_probs, axis1=-2, axis2=-1).mean(axis=-1)
+    return float(loss) if loss.ndim == 0 else loss
 
 
 @dataclass(frozen=True)
@@ -342,20 +346,15 @@ def _shape_groups(legs, kd_legs, proj: ProjectionSet, solver):
 
 
 class _BatchObjective:
-    """The batch objective as a function of one site's override.
+    """The batch objective of one step, as a function of the projection table.
 
-    Construction groups each scored or distilled site's legs by shape and
-    builds one part per site: the value the matching losses read from it
-    (the stacked pooled vectors of a cross-modal site, one row per mention
-    or gold; the mention-by-gold score matrix of a unimodal site; None for
-    a site that is only distilled) and its distillation term. A part costs
-    one stacked assignment and one stacked kd evaluation per shape group.
-    A probe that overrides one site rebuilds only that site's part, and
-    ``components()`` and ``loss_with()`` both combine parts through
-    ``_row``, so they sum in the same order. Teacher plans are computed
-    once here and held constant across probes, which makes the
-    distillation term a pure student-side objective within a step; the
-    student logits are the attention logits of the part's own assignments.
+    Construction fixes what a step holds constant: each scored or distilled
+    site's legs (its assignment problems), stacked by shape, and the teacher
+    plans of its distilled legs under the starting table, which makes the
+    distillation term a pure student-side objective within a step.
+    :meth:`row` recomputes every site from the table it is given. Leading
+    probe axes on a table entry's matrices give a row of arrays over them,
+    each entry equal, bit for bit, to the row under that probe alone.
     """
 
     def __init__(self, mentions, golds, table, run: RunConfig, kd_sites=()):
@@ -394,54 +393,60 @@ class _BatchObjective:
             s: _shape_groups(pairs[s], kd_legs.get(s, ()), table[s], self.solver)
             for s in sites
         }
-        self.parts = {site: self._part(site, table[site]) for site in sites}
 
-    def _part(self, site, proj: ProjectionSet) -> tuple[np.ndarray | None, float]:
-        """The site's (value, kd term) under ``proj``."""
+    def _part(self, site, proj: ProjectionSet):
+        """The site's (value, kd term) under ``proj``; its probe axes lead both.
+
+        The value is what the matching losses read: the pooled vectors of a
+        cross-modal site, one row per mention or gold; the mention-by-gold
+        score matrix of a unimodal site; None for a site only distilled.
+        """
         groups, leg_order, kd_order = self._groups[site]
-        results = [
-            assign(dst, src, proj, self.run.mechanism, self.solver)
-            for dst, src, *_ in groups
-        ]
-        terms = [
-            kd_pair_loss(teachers, r.logits[kd_at])
-            for (_, _, kd_at, teachers), r in zip(groups, results)
-            if kd_at
-        ]
-        # Python floats in kd-leg order sum as a per-leg loop would.
-        kd = float(sum(np.concatenate(terms)[kd_order].tolist())) if terms else 0.0
-        pool = self.run.pool
-        if site in CROSS_MODAL_SITES and self.use_fused:
-            pooled = np.concatenate(
-                [stack_pool([dst, r.g], pool) for (dst, *_), r in zip(groups, results)]
-            )[leg_order]
+        fused = site in CROSS_MODAL_SITES and self.use_fused
+        unimodal = site in UNIMODAL_SITES and self.use_unimodal
+        values, terms = [], []
+        for dst, src, kd_at, teachers in groups:
+            r = assign(dst, src, proj, self.run.mechanism, self.solver)
+            if kd_at:
+                logits = r.logits[..., kd_at, :, :]
+                terms.append(kd_pair_loss(np.broadcast_to(teachers, logits.shape), logits))
+            if fused:
+                pooled = stack_pool([np.broadcast_to(dst, r.g.shape), r.g], self.run.pool)
+                values.append(pooled)
+            elif unimodal:
+                # Row 0 of each side is its summary row.
+                values.append(_unimodal_value(r.g, src[:, 0], dst[:, 0], self.run.pool))
+        kd = 0.0
+        if terms:
+            # Left to right in kd-leg order, as a loop over the legs adds.
+            kd = np.cumsum(np.concatenate(terms, axis=-1)[..., kd_order], axis=-1)[..., -1]
+            kd = float(kd) if kd.ndim == 0 else kd
+        if fused:
+            pooled = np.concatenate(values, axis=-2)[..., leg_order, :]
             is_mention = _CROSS_LEGS[site][0] == "mention"
-            return (pooled if is_mention else pooled[self._gold_slots]), kd
-        if site in UNIMODAL_SITES and self.use_unimodal:
-            # Row 0 of each side is its summary row.
-            values = np.concatenate(
-                [
-                    _unimodal_value(r.g, src[:, 0], dst[:, 0], pool)
-                    for (dst, src, *_), r in zip(groups, results)
-                ]
-            )[leg_order]
-            grid = values.reshape(-1, len(self.mentions))
-            # Contiguous like a filled matrix, so row sums add in the same order.
-            return np.ascontiguousarray(grid[self._gold_slots].T), kd
+            return (pooled if is_mention else pooled[..., self._gold_slots, :]), kd
+        if unimodal:
+            grid = np.concatenate(values, axis=-1)[..., leg_order]
+            grid = grid.reshape(*grid.shape[:-1], -1, len(self.mentions))
+            return grid[..., self._gold_slots, :].swapaxes(-1, -2), kd
         return None, kd
 
-    def _row(self, parts: dict[AssignmentSite, tuple]) -> TraceRow:
+    def row(self, table: ProjectionTable) -> TraceRow:
+        """Every loss component under ``table``, with teachers held from the start."""
+        parts = {site: self._part(site, table[site]) for site in self._groups}
         f = t = v = None
         if self.use_fused:
             m_text, m_vis, e_text, e_vis = (parts[s][0] for s in CROSS_MODAL_SITES)
             # Each score is one dot product, summed as ranking sums it.
-            f = _rowdot(m_text[:, None], e_text) + _rowdot(m_vis[:, None], e_vis)
+            f = _rowdot(m_text[..., None, :], e_text[..., None, :, :]) + _rowdot(
+                m_vis[..., None, :], e_vis[..., None, :, :]
+            )
         if self.use_unimodal:
             t, v = (parts[s][0] for s in UNIMODAL_SITES)
         present = [x for x in (f, t, v) if x is not None]
         l_f, l_t, l_v = (0.0 if x is None else contrastive_loss(x) for x in (f, t, v))
         l_o = contrastive_loss(sum(present) / len(present))
-        l_kd = float(sum(parts[s][1] for s in self.kd_sites))
+        l_kd = sum((parts[s][1] for s in self.kd_sites), 0.0)
         return TraceRow(
             step=0,
             l_f=l_f,
@@ -451,18 +456,6 @@ class _BatchObjective:
             l_kd=l_kd,
             total=l_o + l_f + l_t + l_v + l_kd,
         )
-
-    def components(self) -> TraceRow:
-        return self._row(self.parts)
-
-    def loss(self) -> float:
-        return self.components().total
-
-    def loss_with(self, site: AssignmentSite, proj: ProjectionSet) -> float:
-        """Objective value with one site's projections overridden."""
-        if site not in self.parts:
-            return self.loss()
-        return self._row({**self.parts, site: self._part(site, proj)}).total
 
 
 def _guard_sizes(dataset: Dataset, table: ProjectionTable) -> None:
@@ -497,17 +490,25 @@ def _objective_state(dataset, table, train: ToyTrainConfig, run: RunConfig):
 
 
 def _central_differences(state: _BatchObjective, table, coords, h: float):
+    """Central differences at ``coords``, one objective evaluation per matrix.
+
+    The K probed entries of one (site, matrix) make a ``(2K, 1, d, d)``
+    stack of it, ``+h`` at each entry and then ``-h``; the unit axis
+    broadcasts over the site's stacked legs.
+    """
+    by_matrix: dict[tuple, list] = {}
+    for coord in coords:
+        by_matrix.setdefault(coord[:2], []).append(coord)
     grads = {}
-    for site, name, i, j in coords:
-        proj = table[site]
-        base = getattr(proj, name)
-        plus = base.copy()
-        plus[i, j] += h
-        minus = base.copy()
-        minus[i, j] -= h
-        up = state.loss_with(site, proj.replace(**{name: plus}))
-        down = state.loss_with(site, proj.replace(**{name: minus}))
-        grads[(site, name, i, j)] = (up - down) / (2.0 * h)
+    for (site, name), group in by_matrix.items():
+        _, _, i, j = zip(*group)
+        k = np.arange(len(group))
+        probes = np.repeat(getattr(table[site], name)[None, None], 2 * k.size, axis=0)
+        probes[k, 0, i, j] += h
+        probes[k + k.size, 0, i, j] -= h
+        total = state.row({**table, site: table[site].replace(**{name: probes})}).total
+        up, down = np.broadcast_to(total, probes.shape[:1]).reshape(2, -1)
+        grads.update(zip(group, ((up - down) / (2.0 * h)).tolist()))
     return grads
 
 
@@ -552,7 +553,7 @@ def batch_loss_report(
     train = ToyTrainConfig(steps=0, objective=objective)
     return _objective_state(
         dataset, table, train, _training_run(run, objective)
-    ).components()
+    ).row(table)
 
 
 def toy_train(
@@ -573,7 +574,7 @@ def toy_train(
     _guard_sizes(dataset, table)
 
     state = _objective_state(dataset, table, train, run)
-    trace = [replace(state.components(), step=0)]
+    trace = [replace(state.row(table), step=0)]
     sites = train.trainable_sites()
 
     for step in range(1, train.steps + 1):
@@ -588,6 +589,6 @@ def toy_train(
             mats[site][name][i, j] -= train.lr * grad
         table = {**table, **{site: table[site].replace(**mats[site]) for site in sites}}
         state = _objective_state(dataset, table, train, run)
-        trace.append(replace(state.components(), step=step))
+        trace.append(replace(state.row(table), step=step))
 
     return table, trace

@@ -7,7 +7,7 @@ freely between concurrent workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,6 +70,7 @@ class ProjectionSet:
 
     ``w_q`` projects the destination sequence into queries, ``w_k`` and
     ``w_h`` project the source sequence into keys and transported values.
+    A matrix may carry leading stack axes, which pass through projection.
     """
 
     w_q: np.ndarray
@@ -81,12 +82,12 @@ class ProjectionSet:
         mats = {}
         for name in ("w_q", "w_k", "w_h"):
             arr = freeze_array(getattr(self, name))
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
                 raise DimensionError(f"{name} must be square, got shape {arr.shape}")
             if not np.isfinite(arr).all():
                 raise NonFiniteError(f"{name} contains non-finite values")
             mats[name] = arr
-        dims = {m.shape[0] for m in mats.values()}
+        dims = {m.shape[-1] for m in mats.values()}
         if len(dims) != 1:
             raise DimensionError(
                 f"projection matrices disagree on dimension: {sorted(dims)}"
@@ -96,18 +97,11 @@ class ProjectionSet:
 
     @property
     def dim(self) -> int:
-        return self.w_q.shape[0]
+        return self.w_q.shape[-1]
 
     def replace(self, **mats) -> "ProjectionSet":
         """Return a copy with some of the three matrices swapped out."""
-        kwargs = {
-            "w_q": self.w_q,
-            "w_k": self.w_k,
-            "w_h": self.w_h,
-            "site": self.site,
-        }
-        kwargs.update(mats)
-        return ProjectionSet(**kwargs)
+        return replace(self, **mats)
 
 
 @dataclass(frozen=True)

@@ -443,7 +443,7 @@ class TestRunSettings:
 
 
 class TestInputErrors:
-    """Unreadable command-line files exit 2; unresolvable references exit 5."""
+    """Unreadable input exits 2, unresolvable references 5, unwritable output 6."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -486,14 +486,55 @@ class TestInputErrors:
         assert code == 5
 
     # TestDistillGap covers distill-gap.
-    @pytest.mark.parametrize("argv", [("train-toy", "--steps", "1"), ("loss",)])
+    @pytest.mark.parametrize(
+        "argv",
+        [("train-toy", "--steps", "1"), ("loss",), ("link",), ("link", "--no-metrics")],
+    )
     def test_manifest_without_mentions_exit_5(self, capsys, tmp_path, argv):
         doc = {"schema_version": 1, "d": 4, "entities": [], "mentions": []}
         path = tmp_path / "empty.json"
         path.write_text(json.dumps(doc))
-        code, _, err = run(capsys, argv[0], str(path), *argv[1:])
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
         assert code == 5
+        assert out == ""
         assert "no mentions" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gen-fixtures", "{spec}", "{blocked}"),
+            ("train-toy", "{manifest}", "--steps", "0", "--save-proj", "{blocked}"),
+        ],
+    )
+    def test_unwritable_output_exit_6(self, capsys, tmp_path, fixture_manifest, argv):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"seed": 3, "d": 10, "n_entities": 2, "n_mentions": 2}))
+        # A path under a regular file can be neither a directory nor a file.
+        (tmp_path / "afile").write_text("")
+        names = {
+            "spec": str(spec),
+            "manifest": fixture_manifest,
+            "blocked": str(tmp_path / "afile" / "out"),
+        }
+        code, _, err = run(capsys, *(a.format(**names) for a in argv))
+        assert code == 6
+        assert "cannot write" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("distill-gap", "--mechanism", "ot"),
+            ("distill-gap", "--pool", "max"),
+            ("distill-gap", "--ablation", "no_unim"),
+            ("distill-gap", "--threads", "2"),
+            ("loss", "--mechanism", "ot"),
+            ("loss", "--threads", "2"),
+        ],
+    )
+    def test_run_flag_the_command_ignores_is_rejected(self, fixture_manifest, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], fixture_manifest, *argv[1:]])
+        assert exc.value.code == 2
 
     def test_config_ablations_must_be_a_list(self, capsys, fixture_manifest, tmp_path):
         cfg = tmp_path / "run.json"

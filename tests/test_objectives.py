@@ -14,6 +14,7 @@ from otmel.errors import ConfigError, DimensionError, NonFiniteError
 from otmel.fixtures import FixtureSpec, make_dataset
 from otmel.matching import Scorer
 from otmel.objectives import (
+    TRAINING_TOL,
     BatchScores,
     DistillPair,
     ToyTrainConfig,
@@ -32,6 +33,8 @@ from otmel.objectives import (
     toy_train,
 )
 from otmel.types import FeatureMatrix
+
+from conftest import make_record
 
 
 def kd_oracle(plan, logits):
@@ -296,7 +299,7 @@ class TestBatchObjectiveCaching:
             naive = total_matching_loss(
                 batch_scores(mentions, golds, Scorer(table, run))
             )
-            assert state.loss() == naive
+            assert state.row(table).total == naive
 
     def test_matches_naive_composition_kd(
         self, tiny_dataset, repeated_golds_dataset, mixed_lengths_dataset, tiny_table
@@ -310,15 +313,16 @@ class TestBatchObjectiveCaching:
                 batch_scores(mentions, golds, Scorer(tiny_table, run)),
                 [p for site_pairs in pairs.values() for p in site_pairs],
             )
-            assert state.loss() == pytest.approx(naive, abs=1e-12)
+            assert state.row(tiny_table).total == pytest.approx(naive, abs=1e-12)
 
     def test_override_with_same_projections_is_identity(self, tiny_dataset, tiny_table):
         run = _training_run(None, "kd")
         mentions, golds = batch_of(tiny_dataset)
         state = _BatchObjective(mentions, golds, tiny_table, run, PIPELINE_SITES)
-        base = state.loss()
+        base = state.row(tiny_table).total
         for site in AssignmentSite:
-            assert state.loss_with(site, tiny_table[site]) == base
+            same = {**tiny_table, site: tiny_table[site].replace()}
+            assert state.row(same).total == base
 
     def test_override_matches_full_recomputation(
         self, tiny_dataset, mixed_lengths_dataset, tiny_table
@@ -346,11 +350,61 @@ class TestBatchObjectiveCaching:
                         for k in kd_sites
                         for t, s in zip(teachers[k], students[k])
                     )
-                    expected = _BatchObjective(mentions, golds, table2, run).loss() + kd
-                    got = state.loss_with(site, proj)
+                    fresh = _BatchObjective(mentions, golds, table2, run)
+                    expected = fresh.row(table2).total + kd
+                    got = state.row(table2).total
                     assert got == pytest.approx(expected, abs=1e-12), (
                         objective, site, name,
                     )
+
+
+class TestStackedRow:
+    """A table entry with probe axes gives one row per probe, as each alone would."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        objective=st.sampled_from(["ot", "kd"]),
+        ablation=st.sampled_from([(), ("no_fusm",), ("no_unim",)]),
+        pool=st.sampled_from(["soft", "mean", "max"]),
+        reverse=st.booleans(),
+        b=st.integers(1, 8),
+        mixed=st.booleans(),
+        site=st.sampled_from(list(AssignmentSite)),
+        name=st.sampled_from(["w_q", "w_k", "w_h"]),
+        probes=st.integers(1, 3),
+    )
+    def test_each_probe_equals_its_table_alone(
+        self, seed, objective, ablation, pool, reverse, b, mixed, site, name, probes
+    ):
+        rng = np.random.default_rng(seed)
+        d = 4
+
+        def record(kind):
+            rows = rng.integers(1, 6, size=2) if mixed else (3, 3)
+            return make_record(rng, kind, int(rows[0]), int(rows[1]), d=d)
+
+        mentions = [record("mention") for _ in range(b)]
+        entities = [record("entity") for _ in range(int(rng.integers(1, min(b, 4) + 1)))]
+        golds = [entities[int(rng.integers(len(entities)))] for _ in mentions]
+        table = default_projections(d, seed=seed % 1000, scale=1.5)
+        run = _training_run(
+            RunConfig(tol=TRAINING_TOL, pool=pool, ablations=frozenset(ablation)),
+            objective,
+        )
+        kd_sites = ToyTrainConfig(
+            steps=0, objective=objective, include_reverse_sites=reverse
+        ).distilled_sites()
+        state = _BatchObjective(mentions, golds, table, run, kd_sites)
+
+        base = getattr(table[site], name)
+        stack = base + 0.1 * rng.standard_normal((probes, 1, d, d))
+        stacked = state.row({**table, site: table[site].replace(**{name: stack})})
+        for p in range(probes):
+            alone = state.row({**table, site: table[site].replace(**{name: stack[p, 0]})})
+            for field in ("l_f", "l_t", "l_v", "l_o", "l_kd", "total"):
+                got = np.broadcast_to(getattr(stacked, field), (probes,))[p]
+                assert got == getattr(alone, field), (field, p)
 
 
 class TestToyTrain:
