@@ -146,8 +146,13 @@ def row_softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def attention_logits(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Scaled query-key scores of projected Q and K, the logits attention normalizes."""
+    return q @ k.swapaxes(-1, -2) / np.sqrt(q.shape[-1])
+
+
 def _attend(q, k, h) -> AssignmentResult:
-    scores = q @ k.swapaxes(-1, -2) / np.sqrt(q.shape[-1])
+    scores = attention_logits(q, k)
     a = row_softmax(scores)
     return AssignmentResult(a=a, g=a @ h, logits=scores, mechanism=ATTENTION)
 
@@ -225,21 +230,29 @@ def assign(
     raise ConfigError(f"unknown mechanism {mechanism!r}")
 
 
-def assign_projected(
-    q: np.ndarray,
-    k: np.ndarray,
-    h: np.ndarray,
-    mechanism: str,
-    config: SinkhornConfig = SinkhornConfig(),
-) -> AssignmentResult:
-    """The assignment of :func:`assign` from already projected Q, K and H.
+def assignment_stack(
+    parts, mechanism: str, config: SinkhornConfig = SinkhornConfig()
+) -> np.ndarray:
+    """The assignment matrices of several projected ``(Q, K)`` stacks, solved as one.
 
-    Lets a caller project one side once and reuse it across many calls.
+    Each part holds a ``(B, n, d)`` query stack and keys that broadcast
+    against it; all parts share n and the key length m. Each part's cosine
+    cost (transport) or scaled scores (attention) is built on its own, as
+    :func:`assign` builds it, then the parts are concatenated along the
+    leading axis and solved by one :func:`~otmel.ot.sinkhorn_stack` or one
+    row softmax. Part by part, the result equals the ``a`` of
+    :func:`assign` on the same projections, bit for bit.
+    ``parts`` may be a generator, so that only one part's Q and K need be
+    alive at a time.
     """
     if mechanism == ATTENTION:
-        return _attend(q, k, h)
+        return row_softmax(np.concatenate([attention_logits(q, k) for q, k in parts]))
     if mechanism == OT:
-        return _transport(q, k, h, config)
+        costs = [cosine_cost(q, k) for q, k in parts]
+        # A lone part goes in as it is: concatenating would copy and recheck it.
+        cost = costs[0] if len(costs) == 1 else np.concatenate([c.data for c in costs])
+        marginals = Marginals.uniform(costs[0].n, costs[0].m)
+        return sinkhorn_stack(cost, marginals, config).data
     raise ConfigError(f"unknown mechanism {mechanism!r}")
 
 

@@ -3,10 +3,12 @@
 Gold ranks are pessimistic under score ties: the gold entity takes the
 worst position inside its tie group, so degenerate all-equal scores can
 never inflate the metrics. Metric reductions run on exact rationals, so
-results are independent of mention ordering. Each mention's candidates
-are scored as one stack (:meth:`~otmel.matching.Scorer.score_all`), and a
-candidate's score does not depend on the rest of the list, so ranking one
-mention online and ranking all of them in a batch agree.
+results are independent of mention ordering. Ranking one mention online
+(:func:`rank_candidates`) scores it as a block of one; batch ranking
+(:func:`rank_all`) scores every mention in one call of the same scoring
+core (:meth:`~otmel.matching.Scorer.score_grid`). A score depends only on
+its own mention and candidate, and both paths order a score row with the
+same helper, so online and batch rankings agree.
 """
 
 from __future__ import annotations
@@ -35,13 +37,8 @@ class RankingResult:
     rank_of_gold: int | None
 
 
-def rank_candidates(
-    mention: MentionRecord,
-    entities: list[EntityRecord] | tuple[EntityRecord, ...],
-    scorer: Scorer,
-    evaluate: bool = True,
-) -> RankingResult:
-    """Score every candidate for one mention and rank them."""
+def _check(mention: MentionRecord, entities, evaluate: bool) -> None:
+    """Reject a ranking request that has no candidates or, if evaluated, no gold."""
     if len(entities) == 0:
         raise DataError(f"mention {mention.id!r} has an empty candidate list")
     gold = mention.gold_entity
@@ -54,16 +51,34 @@ def rank_candidates(
                 "is not among the candidates"
             )
 
-    ids = [e.id for e in entities]
-    scores = scorer.score_all(mention, entities).s_o
-    order = np.lexsort((np.array(ids), -scores))
-    ordering = tuple(ids[j] for j in order)
 
+def _ranked(
+    mention: MentionRecord, ids: list[str], scores: np.ndarray, evaluate: bool
+) -> RankingResult:
+    """Order one mention's score row: descending score, ties broken by id."""
+    order = np.lexsort((np.array(ids), -scores))
     rank = None
     if evaluate:
         # Pessimistic under ties: every candidate scoring at least the gold's.
-        rank = int(np.count_nonzero(scores >= scores[ids.index(gold)]))
-    return RankingResult(mention_id=mention.id, ordering=ordering, rank_of_gold=rank)
+        gold = scores[ids.index(mention.gold_entity)]
+        rank = int(np.count_nonzero(scores >= gold))
+    return RankingResult(
+        mention_id=mention.id,
+        ordering=tuple(ids[j] for j in order),
+        rank_of_gold=rank,
+    )
+
+
+def rank_candidates(
+    mention: MentionRecord,
+    entities: list[EntityRecord] | tuple[EntityRecord, ...],
+    scorer: Scorer,
+    evaluate: bool = True,
+) -> RankingResult:
+    """Score every candidate for one mention and rank them."""
+    _check(mention, entities, evaluate)
+    scores = scorer.score_all(mention, entities).s_o
+    return _ranked(mention, [e.id for e in entities], scores, evaluate)
 
 
 def rank_all(
@@ -75,19 +90,24 @@ def rank_all(
 ) -> list[RankingResult]:
     """Rank every mention against the shared candidate set.
 
-    Entities and mentions are warmed in stacks up front (unless the fused
-    score, the only reader of pooled vectors, is ablated), then each
-    mention is scored against the whole catalog in one call. ``threads`` is
-    accepted and ignored: ranking runs in one thread, because with stacked
-    scoring a thread pool only added contention, and results never depended
-    on it.
+    Every mention is checked first, in order, and the first one that
+    :func:`rank_candidates` would reject raises the same error. Then all
+    mentions are scored against the catalog in one
+    :meth:`~otmel.matching.Scorer.score_grid` call and each score row is
+    ordered as :func:`rank_candidates` orders it. Memory thus grows with
+    mentions × catalog: the core holds four score grids of that shape while
+    scoring, and the overall grid is kept until every row is ordered.
+    ``threads`` is accepted and ignored: ranking runs in one thread,
+    because with stacked scoring a thread pool only added contention, and
+    results never depended on it.
     """
     entities = list(entities)
     mentions = list(mentions)
-    if scorer.uses_fused:
-        scorer.warm(entities)
-        scorer.warm(mentions)
-    return [rank_candidates(m, entities, scorer, evaluate) for m in mentions]
+    for m in mentions:
+        _check(m, entities, evaluate)
+    ids = [e.id for e in entities]
+    scores = scorer.score_grid(mentions, entities).s_o
+    return [_ranked(m, ids, row, evaluate) for m, row in zip(mentions, scores)]
 
 
 def _ranks(results) -> list[int]:

@@ -27,7 +27,8 @@ from .correlation import (
     ProjectionTable,
     RecordInteraction,
     assign,
-    assign_projected,
+    assignment_stack,
+    project,
     record_sites,
 )
 from .errors import ConfigError, DimensionError
@@ -165,6 +166,19 @@ def _fitted(side: FeatureMatrix, proj) -> np.ndarray:
     return side.data
 
 
+def _chunks(items: list, size: int) -> list[list]:
+    """``items`` cut into consecutive runs of at most ``size``."""
+    return [items[s : s + size] for s in range(0, len(items), size)]
+
+
+def _by_rows(sides: list[FeatureMatrix]) -> list[list[int]]:
+    """Indices of ``sides`` grouped by row count."""
+    groups: dict[int, list[int]] = {}
+    for i, side in enumerate(sides):
+        groups.setdefault(side.rows, []).append(i)
+    return list(groups.values())
+
+
 def _hit(cache: dict, record):
     """The entry cached for this very record object, or None."""
     entry = cache.get(id(record))
@@ -173,15 +187,23 @@ def _hit(cache: dict, record):
 
 @dataclass(frozen=True)
 class CatalogScores:
-    """One mention's match scores against each entity, in catalog order."""
+    """Match scores against each entity, in catalog order.
+
+    Each field is one mention's ``(E,)`` row, or, from
+    :meth:`Scorer.score_grid`, an ``(M, E)`` grid with one row per mention.
+    """
 
     s_f: np.ndarray
     s_t: np.ndarray
     s_v: np.ndarray
     s_o: np.ndarray
 
+    def mention(self, i: int) -> CatalogScores:
+        """Mention ``i``'s row of a grid."""
+        return CatalogScores(self.s_f[i], self.s_t[i], self.s_v[i], self.s_o[i])
+
     def row(self, j: int) -> MatchScores:
-        """The scores of entity ``j``."""
+        """The scores of entity ``j`` in a one-mention row."""
         return MatchScores(
             s_f=float(self.s_f[j]),
             s_t=float(self.s_t[j]),
@@ -197,9 +219,12 @@ class Scorer:
     vectors, and each entity's projected unimodal queries. Each entry
     keeps its record alive and is used only for that same object, so a
     recycled ``id()`` never returns another record's result.
-    :meth:`score_all` scores a whole catalog in stacked array operations;
-    every score equals, bit for bit, the one :func:`fused_score`,
-    :func:`pooled_pair` and :func:`unimodal_score` give for the pair alone.
+    :meth:`score_grid` is the one scoring core: it scores a block of
+    mentions against a whole catalog in stacked array operations, solving
+    many pairs' transport problems in one stack. Every score equals, bit
+    for bit, the one :func:`fused_score`, :func:`pooled_pair` and
+    :func:`unimodal_score` give for the pair alone, whatever else shares
+    the call.
     """
 
     def __init__(self, projections: ProjectionTable, config: RunConfig = RunConfig()):
@@ -226,32 +251,58 @@ class Scorer:
     def warm(self, records) -> None:
         """Cache the pooled vectors of every record not cached yet.
 
-        Records of one kind and one (text, visual) shape are solved
-        together, in stacks of at most ``_BLOCK`` records; a record alone
-        in its group is a stack of one.
+        Records of one kind and one (text, visual) shape form a group,
+        which is projected, transported and pooled in blocks of at most
+        ``_BLOCK`` records. The cost stacks of consecutive blocks are solved
+        together, as many blocks per solve as keep it within one block's
+        ``(_BLOCK, n, d)`` transported features; a record alone in its
+        group is a stack of one.
         """
         groups: dict[tuple, dict[int, object]] = {}
         for r in records:
             if _hit(self._pooled, r) is None:
                 key = (type(r), r.text.data.shape, r.visual.data.shape)
                 groups.setdefault(key, {})[id(r)] = r
-        mechanism, pool = self.config.mechanism, self.config.pool
-        solver = self._solver_config
         for group in groups.values():
             group = list(group.values())
             v2t_proj, t2v_proj = (self.projections[s] for s in record_sites(group[0]))
-            for start in range(0, len(group), _BLOCK):
-                block = group[start : start + _BLOCK]
-                text = np.stack([r.text.data for r in block])
-                visual = np.stack([r.visual.data for r in block])
+            (n_t, d), n_v = group[0].text.data.shape, group[0].visual.rows
+            for chunk in _chunks(group, _BLOCK * max(1, d // max(n_t, n_v))):
+                blocks = _chunks(chunk, _BLOCK)
                 # Each direction is pooled as soon as it is solved, so the
-                # block's large temporaries are never all alive at once.
-                g = assign(text, visual, v2t_proj, mechanism, solver).g
-                text_pooled = stack_pool([text, g], pool)
-                g = assign(visual, text, t2v_proj, mechanism, solver).g
-                visual_pooled = stack_pool([visual, g], pool)
-                for r, pair in zip(block, zip(text_pooled, visual_pooled)):
+                # two directions' temporaries are never all alive at once.
+                text = self._pool_transported(blocks, "text", "visual", v2t_proj)
+                visual = self._pool_transported(blocks, "visual", "text", t2v_proj)
+                for r, pair in zip(chunk, zip(text, visual)):
                     self._pooled[id(r)] = (r, pair)
+
+    def _pool_transported(self, blocks, dst: str, src: str, proj) -> np.ndarray:
+        """Each record's ``dst`` rows pooled with its ``src`` rows moved onto them.
+
+        ``blocks`` are lists of records of one shape. Their assignments are
+        one solve; the rest is done one block at a time, so only the
+        solve's cost stack spans the blocks.
+        """
+
+        def rows(block, attr: str) -> np.ndarray:
+            return np.array([getattr(r, attr).data for r in block])
+
+        values = []
+
+        def parts():
+            # One block's Q and K at a time; only its H is kept for transport.
+            for block in blocks:
+                q, k, h = project(rows(block, dst), rows(block, src), proj)
+                values.append(h)
+                yield q, k
+
+        a = assignment_stack(parts(), self.config.mechanism, self._solver_config)
+        pooled, start = [], 0
+        for block, h in zip(blocks, values):
+            g = a[start : start + len(block)] @ h
+            start += len(block)
+            pooled.append(stack_pool([rows(block, dst), g], self.config.pool))
+        return np.concatenate(pooled)
 
     def _entity_queries(self, entity) -> tuple[np.ndarray, np.ndarray]:
         """The entity's text and visual rows projected to unimodal queries."""
@@ -265,59 +316,76 @@ class Scorer:
             self._queries[id(entity)] = (entity, found)
         return found
 
-    def _unimodal(self, mention, block, which: int) -> np.ndarray:
-        """One unimodal site's scores of the mention against a block of entities.
+    def _unimodal(self, mentions, entities, which: int) -> np.ndarray:
+        """One unimodal site's scores of every mention against every entity.
 
-        Entities are grouped by sequence length and each group, even one
-        entity alone at its length, is solved as one stack; groups are
-        never padded, since padding would change the uniform marginals.
+        Entities are grouped by sequence length, then blocked by
+        ``_BLOCK``; mentions are grouped by sequence length. Against each
+        entity block, the cost stacks of a group's mentions are solved
+        together, as many mentions per solve as keep it within one
+        block's ``(_BLOCK, n, d)`` transported features. Groups are never
+        padded, since padding would change the uniform marginals.
         """
         site, attr = _UNIMODAL[which]
         proj = self.projections[site]
-        side = getattr(mention, attr)
-        x = _fitted(side, proj)
-        k, h = x @ proj.w_k, x @ proj.w_h
-        groups: dict[int, list[int]] = {}
-        for j, e in enumerate(block):
-            groups.setdefault(getattr(e, attr).rows, []).append(j)
-        values = np.empty(len(block))
-        for rows in groups.values():
-            q = np.stack([self._entity_queries(block[j])[which] for j in rows])
-            t_e = np.stack([getattr(block[j], attr).summary for j in rows])
-            g = assign_projected(q, k, h, self.config.mechanism, self._solver_config).g
-            values[rows] = _unimodal_value(g, side.summary, t_e, self.config.pool)
+        sides = [getattr(m, attr) for m in mentions]
+        entity_sides = [getattr(e, attr) for e in entities]
+        blocks = [b for rows in _by_rows(entity_sides) for b in _chunks(rows, _BLOCK)]
+        groups = _by_rows(sides)
+        values = np.empty((len(mentions), len(entities)))
+        for block in blocks:
+            q = np.array([self._entity_queries(entities[j])[which] for j in block])
+            t_e = np.array([entity_sides[j].summary for j in block])
+            for group in groups:
+                per_solve = _BLOCK * proj.dim // (len(block) * sides[group[0]].rows)
+                for chunk in _chunks(group, max(1, per_solve)):
+                    x = [_fitted(sides[i], proj) for i in chunk]
+                    a = assignment_stack(
+                        [(q, x_i @ proj.w_k) for x_i in x],
+                        self.config.mechanism,
+                        self._solver_config,
+                    )
+                    per_mention = a.reshape(len(chunk), len(block), *a.shape[1:])
+                    for i, x_i, a_i in zip(chunk, x, per_mention):
+                        g = a_i @ (x_i @ proj.w_h)
+                        values[i, block] = _unimodal_value(
+                            g, sides[i].summary, t_e, self.config.pool
+                        )
         return values
 
-    def score_all(self, mention: MentionRecord, entities) -> CatalogScores:
-        """All match scores of one mention against each entity, in catalog order.
+    def score_grid(self, mentions, entities) -> CatalogScores:
+        """Every mention's match scores against each entity, in catalog order.
 
-        Entities are scored in blocks of at most ``_BLOCK``: the fused
-        scores as one stacked product of pooled vectors, each unimodal site
-        as stacked cost, assignment, transport and pooling. A score does
-        not depend on which other entities share the catalog. Ablated
-        components read 0.
+        The scoring core of ranking and of the batch losses; a block of
+        one mention is the online path. The fused scores are one broadcast
+        product of pooled vectors. Each unimodal site solves the cost
+        stacks of many mentions against a block of entities as one stack.
+        A score depends only on its own mention and entity, never on what
+        else shares the call. Ablated components read 0. Each field is an
+        ``(M, E)`` grid, so a call holds four floats per pair.
         """
-        entities = list(entities)
-        count = len(entities)
-        s_f, s_t, s_v = np.zeros(count), np.zeros(count), np.zeros(count)
-        if self.uses_fused:
-            self.warm(entities)
-            m_text, m_vis = self.pooled(mention)
-        for start in range(0, count, _BLOCK):
-            block = entities[start : start + _BLOCK]
-            out = slice(start, start + len(block))
-            if self.uses_fused:
-                e_text, e_vis = (np.stack(v) for v in zip(*map(self.pooled, block)))
-                s_f[out] = _rowdot(m_text, e_text) + _rowdot(m_vis, e_vis)
-            if self.uses_unimodal:
-                s_t[out] = self._unimodal(mention, block, 0)
-                s_v[out] = self._unimodal(mention, block, 1)
+        mentions, entities = list(mentions), list(entities)
+        shape = (len(mentions), len(entities))
+        if not (mentions and entities):
+            return CatalogScores(*np.zeros((4, *shape)))
+        s_f, s_t, s_v = np.zeros(shape), np.zeros(shape), np.zeros(shape)
         parts = []
         if self.uses_fused:
+            self.warm(entities + mentions)
+            m_text, m_vis = (np.array(v) for v in zip(*map(self.pooled, mentions)))
+            e_text, e_vis = (np.array(v) for v in zip(*map(self.pooled, entities)))
+            m_text, m_vis = m_text[:, None], m_vis[:, None]
+            s_f = _rowdot(m_text, e_text) + _rowdot(m_vis, e_vis)
             parts.append(s_f)
         if self.uses_unimodal:
+            s_t = self._unimodal(mentions, entities, 0)
+            s_v = self._unimodal(mentions, entities, 1)
             parts.extend([s_t, s_v])
         return CatalogScores(s_f, s_t, s_v, sum(parts) / len(parts))
+
+    def score_all(self, mention: MentionRecord, entities) -> CatalogScores:
+        """All match scores of one mention against each entity, in catalog order."""
+        return self.score_grid([mention], entities).mention(0)
 
     def scores(self, mention: MentionRecord, entity: EntityRecord) -> MatchScores:
         """All match scores for one pair; ablated components read 0."""

@@ -30,7 +30,7 @@ from .correlation import (
     AssignmentSite,
     ProjectionTable,
     assign,
-    assign_projected,
+    attention_logits,
     cosine_cost,
     project,
 )
@@ -81,27 +81,20 @@ def batch_scores(mentions, entities, scorer: Scorer) -> BatchScores:
     """Score every mention against every entity; diagonal pairs are gold.
 
     Callers arrange ``entities`` so that entity j is mention j's gold.
-    Each row is one :meth:`~otmel.matching.Scorer.score_all` call.
+    The whole batch is one :meth:`~otmel.matching.Scorer.score_grid` call.
     """
     if len(mentions) != len(entities):
         raise DimensionError(
             f"batch needs matching counts, got {len(mentions)} mentions "
             f"and {len(entities)} entities"
         )
-    b = len(mentions)
-    f = np.empty((b, b)) if scorer.uses_fused else None
-    t = np.empty((b, b)) if scorer.uses_unimodal else None
-    v = np.empty((b, b)) if scorer.uses_unimodal else None
-    o = np.empty((b, b))
-    for i, m in enumerate(mentions):
-        s = scorer.score_all(m, entities)
-        o[i] = s.s_o
-        if f is not None:
-            f[i] = s.s_f
-        if t is not None:
-            t[i] = s.s_t
-            v[i] = s.s_v
-    return BatchScores(o=o, f=f, t=t, v=v)
+    grid = scorer.score_grid(mentions, entities)
+    return BatchScores(
+        o=grid.s_o,
+        f=grid.s_f if scorer.uses_fused else None,
+        t=grid.s_t if scorer.uses_unimodal else None,
+        v=grid.s_v if scorer.uses_unimodal else None,
+    )
 
 
 def total_matching_loss(batch: BatchScores) -> float:
@@ -235,11 +228,10 @@ def distill_pairs(
     for site, pairs in distill_instances(mentions, golds, sites).items():
         out[site] = []
         for dst, src in pairs:
-            q, k, h = project(dst, src, table[site])
+            q, k, _ = project(dst, src, table[site])
             cost = cosine_cost(q, k)
             plan = sinkhorn(cost, Marginals.uniform(cost.n, cost.m), solver).data
-            logits = assign_projected(q, k, h, ATTENTION).logits
-            out[site].append(DistillPair(plan, logits))
+            out[site].append(DistillPair(plan, attention_logits(q, k)))
     return out
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -160,3 +162,58 @@ class TestRankAll:
         table = identity_projections(24)
         results = rank_all(ds.mentions, ds.entities, Scorer(table, RunConfig()))
         assert all(r.rank_of_gold == 1 for r in results)
+
+    @staticmethod
+    def mixed_lengths():
+        # Each record cut to its own text and visual lengths, so scoring
+        # splits into several stacks per site.
+        spec = FixtureSpec(seed=9, d=8, n_entities=5, n_mentions=9, noise_sigma=0.5)
+        ds, _ = make_dataset(spec)
+
+        def cut(record, k):
+            return replace(
+                record,
+                text=FeatureMatrix(record.text.data[: 2 + k % 3]),
+                visual=FeatureMatrix(record.visual.data[: 1 + (2 * k) % 5]),
+            )
+
+        entities = [cut(e, k) for k, e in enumerate(ds.entities)]
+        mentions = [cut(m, k + 1) for k, m in enumerate(ds.mentions)]
+        return mentions, entities
+
+    @pytest.mark.parametrize("evaluate", [True, False])
+    @pytest.mark.parametrize("mechanism", ["ot", "attention"])
+    def test_batch_equals_online_on_mixed_lengths(self, evaluate, mechanism):
+        mentions, entities = self.mixed_lengths()
+        table = identity_projections(8)
+        run = RunConfig(mechanism=mechanism, sharpness=30.0)
+        batch = rank_all(mentions, entities, Scorer(table, run), evaluate=evaluate)
+        online = Scorer(table, run)
+        assert batch == [
+            rank_candidates(m, entities, online, evaluate=evaluate) for m in mentions
+        ]
+        assert all((r.rank_of_gold is None) != evaluate for r in batch)
+
+    def test_rejects_the_first_mention_rank_candidates_rejects(self):
+        mentions, entities = self.mixed_lengths()
+        scorer = Scorer(identity_projections(8))
+        no_gold = replace(mentions[3], gold_entity=None)
+        stranger = replace(mentions[5], gold_entity="nobody")
+        for batch, cands, bad in (
+            (mentions[:3] + [no_gold, stranger], entities, no_gold),
+            (mentions[:2] + [stranger, no_gold], entities, stranger),
+            (mentions, [], mentions[0]),
+        ):
+            with pytest.raises(DataError) as online:
+                rank_candidates(bad, cands, scorer)
+            with pytest.raises(DataError) as batched:
+                rank_all(batch, cands, scorer)
+            assert str(batched.value) == str(online.value)
+        # Without evaluation a missing or absent gold is not an error.
+        assert len(rank_all([no_gold, stranger], entities, scorer, evaluate=False)) == 2
+
+    def test_no_mentions_rank_to_nothing(self):
+        _, entities = self.mixed_lengths()
+        scorer = Scorer(identity_projections(8))
+        assert rank_all([], entities, scorer) == []
+        assert rank_all([], [], scorer) == []

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -403,3 +405,81 @@ class TestScoreAll:
         if scorer.uses_fused:
             with pytest.raises(DimensionError):
                 scorer.warm([fits, odd])
+
+
+def mixed_mentions(rng, count, d=6):
+    """Mentions of 1-3 text and visual rows, so they fall into several groups."""
+    return [
+        make_record(
+            rng,
+            "mention",
+            rows_text=int(rng.integers(1, 4)),
+            rows_visual=int(rng.integers(1, 4)),
+            d=d,
+        )
+        for _ in range(count)
+    ]
+
+
+class TestScoreGrid:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        run=RUN_CONFIGS,
+        clamped=st.booleans(),
+        count=st.integers(1, 5),
+        mentions=st.integers(1, 4),
+    )
+    def test_rows_match_score_all_and_pair_reference(
+        self, seed, run, clamped, count, mentions
+    ):
+        if clamped:
+            # At this sharpness every cost above about 0.46 clamps the kernel.
+            run = replace(run, sharpness=1500.0)
+        rng = np.random.default_rng(seed)
+        table = default_projections(6, seed=seed % 1000)
+        entities = random_catalog(rng, count)
+        batch = mixed_mentions(rng, mentions)
+        grid = Scorer(table, run).score_grid(batch, entities)
+        assert grid.s_o.shape == (mentions, count)
+        for i, mention in enumerate(batch):
+            got = grid.mention(i)
+            alone = Scorer(table, run).score_all(mention, entities)
+            for j, entity in enumerate(entities):
+                reference = pair_reference(mention, entity, table, run)
+                assert got.row(j) == alone.row(j) == reference
+
+    @pytest.mark.parametrize("mechanism", ["ot", "attention"])
+    def test_rows_match_when_solves_split(self, mechanism):
+        # 70 mentions of one shape warm in two solves of 64 and 6, and
+        # against the 32-entity block of one length the unimodal sites
+        # solve two mentions at a time; rows must not see those splits.
+        rng = np.random.default_rng(5)
+        table = default_projections(6, seed=5)
+        run = RunConfig(mechanism=mechanism)
+        entities = [
+            make_record(rng, "entity", rows_text=3, rows_visual=3, d=6)
+            for _ in range(36)
+        ] + random_catalog(rng, 4)
+        batch = [
+            make_record(rng, "mention", rows_text=3, rows_visual=3, d=6)
+            for _ in range(70)
+        ] + mixed_mentions(rng, 4)
+        grid = Scorer(table, run).score_grid(batch, entities)
+        online = Scorer(table, run)
+        for i, mention in enumerate(batch):
+            got = grid.mention(i)
+            alone = online.score_all(mention, entities)
+            for kind in ("s_f", "s_t", "s_v", "s_o"):
+                np.testing.assert_array_equal(getattr(got, kind), getattr(alone, kind))
+            if i % 9 == 0:
+                for j in range(0, len(entities), 7):
+                    reference = pair_reference(mention, entities[j], table, run)
+                    assert got.row(j) == reference
+
+    def test_empty_blocks(self, identity_table, rng):
+        scorer = Scorer(identity_table, RunConfig())
+        mention = make_record(rng, "mention")
+        assert scorer.score_grid([], [make_record(rng, "entity")]).s_o.shape == (0, 1)
+        assert scorer.score_grid([mention], []).s_o.shape == (1, 0)
+        assert scorer.score_all(mention, []).s_o.shape == (0,)

@@ -227,6 +227,25 @@ class TestSinkhornStack:
             assert stack.residual[b] == single.residual
             assert stack.achieved_marginal_error[b] == single.achieved_marginal_error
 
+    def test_large_stack_with_spread_stops_matches_sinkhorn(self):
+        # Ranking solves hundreds of problems in one stack. At sharpness 30
+        # they stop at many different iterations, and a small cap stops
+        # some of them early; each must still equal its 2-D solve.
+        cost = np.random.default_rng(0).random((320, 6, 5))
+        marg = Marginals.uniform(6, 5)
+        config = SinkhornConfig(sharpness=30.0, max_iter=100)
+        stack = sinkhorn_stack(cost, marg, config)
+        iterations = stack.iterations_used
+        assert len(np.unique(iterations)) > 10
+        assert (iterations == config.max_iter).any()
+        assert (iterations < config.max_iter).any()
+        for b in range(len(cost)):
+            single = sinkhorn(cost[b], marg, config)
+            np.testing.assert_array_equal(stack.data[b], single.data)
+            assert iterations[b] == single.iterations_used
+            assert stack.converged[b] == single.converged
+            assert stack.residual[b] == single.residual
+
 
 class TestExactOracle:
     def test_zero_diagonal_picks_identity(self):
