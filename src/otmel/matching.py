@@ -217,8 +217,9 @@ class Scorer:
 
     Per-record work is cached by record object: each record's pooled
     vectors, and each entity's projected unimodal queries. Each entry
-    keeps its record alive and is used only for that same object, so a
-    recycled ``id()`` never returns another record's result.
+    keeps its record alive until :meth:`clear` and is used only for that
+    same object, so a recycled ``id()`` never returns another record's
+    result.
     :meth:`score_grid` is the one scoring core: it scores a block of
     mentions against a whole catalog in stacked array operations, solving
     many pairs' transport problems in one stack. Every score equals, bit
@@ -241,6 +242,15 @@ class Scorer:
     @property
     def uses_unimodal(self) -> bool:
         return ABLATION_NO_UNIMODAL not in self.config.ablations
+
+    def clear(self) -> None:
+        """Empty both record caches, so that the scorer keeps no record alive.
+
+        A long-lived scorer otherwise holds every record it has scored.
+        Later scores equal earlier ones; the cleared work is redone on use.
+        """
+        self._pooled.clear()
+        self._queries.clear()
 
     def pooled(self, record) -> tuple[np.ndarray, np.ndarray]:
         """The record's pooled (text, visual) vectors; a miss warms it alone."""

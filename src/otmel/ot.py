@@ -14,6 +14,13 @@ a stack of independent ``n x m`` problems. :func:`sinkhorn` solves one
 problem; :func:`sinkhorn_stack` solves a stack in one scaling loop, with
 each problem giving the same result, bit for bit, as :func:`sinkhorn` on
 it alone.
+
+Both loops check the marginal error once per run of scaling pairs, not
+after every pair: a run keeps its iterates and computes all their errors
+in one array pass. Runs are single pairs for the first few iterations and
+then grow with the iterations done, up to a short cap. Each problem still
+stops at the first pair whose error is under ``tol``, with that pair's
+iterates; the pairs after it in its run are discarded.
 """
 
 from __future__ import annotations
@@ -31,6 +38,10 @@ from .types import freeze_array
 # extreme sharpness values; a solve whose kernel needed it is reported
 # unconverged.
 KERNEL_FLOOR = 1e-300
+
+# Longest run of scaling pairs between two checks of the marginal error
+# in a one-problem solve; a stack's runs are a quarter as long.
+_MAX_RUN = 32
 
 
 @dataclass(frozen=True)
@@ -178,6 +189,36 @@ def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return a @ x if x.ndim == 1 else (a @ x[..., None])[..., 0]
 
 
+def _pairs(kernel, kernel_t, kv, mu, nu, steps: int, matvec):
+    """Run ``steps`` scaling pairs from ``kv = K v``; return the iterates and errors.
+
+    Each pair is ``u = mu / (K v)`` then ``v = nu / (K^T u)``. Returns the
+    ``v`` of each pair, the ``K v`` before and after each pair (the given
+    ``kv`` first), and each pair's L1 marginal error of ``diag(u) K diag(v)``.
+    A longer run stacks its iterates on a new leading axis and computes
+    all its errors in one pass; a run of one stacks nothing and returns
+    its one error without that axis. ``matvec(a, x)`` is the
+    matrix-vector product for the kernel's layout.
+    """
+    us, kt_us, vs, kvs = [], [], [], [kv]
+    for _ in range(steps):
+        u = mu / kv
+        kt_u = matvec(kernel_t, u)
+        v = nu / kt_u
+        kv = matvec(kernel, v)
+        us.append(u)
+        kt_us.append(kt_u)
+        vs.append(v)
+        kvs.append(kv)
+    if steps > 1:
+        u, kt_u, vs, kvs = (np.array(x) for x in (us, kt_us, vs, kvs))
+        v, kv = vs, kvs[1:]
+    # After each pair the columns are balanced by construction; the
+    # residual lives in the rows.
+    err = np.abs(u * kv - mu).sum(-1) + np.abs(v * kt_u - nu).sum(-1)
+    return vs, kvs, err
+
+
 def _rounded(kernel, v, kv, kv_prev, marginals: Marginals):
     """Round scaled plans onto the marginals; return them and their L1 errors.
 
@@ -221,7 +262,9 @@ def sinkhorn(
     ``K = exp(-sharpness * C)``, and repeats ``u = mu / (K v)`` followed by
     ``v = nu / (K^T u)`` until the combined L1 marginal error of
     ``diag(u) K diag(v)`` drops below ``tol`` or ``max_iter`` pairs have
-    run; ``residual`` is that last error and ``converged`` whether it beat
+    run. Errors are checked once per run of pairs, but the solve stops at
+    the first pair under ``tol`` all the same, and returns its iterates.
+    ``residual`` is that pair's error and ``converged`` whether it beat
     ``tol`` with no kernel entry raised to :data:`KERNEL_FLOOR` (a clamped
     kernel is another problem's). The scaled plan is then rounded onto the
     marginals (Altschuler, Weed & Rigollet 2017, Alg. 2): rows above
@@ -243,30 +286,36 @@ def sinkhorn(
 
 def _scaled(kernel, clamped, marginals, config: SinkhornConfig) -> TransportPlan:
     """The 2-D scaling loop of :func:`sinkhorn` on its kernel, then rounding."""
-    n, m = kernel.shape
     mu, nu = marginals.mu, marginals.nu
-
-    u = np.ones(n)
-    v = np.ones(m)
-    kv = kernel @ v
-    iterations = 0
-    for iterations in range(1, config.max_iter + 1):
-        u = mu / kv
-        kt_u = kernel.T @ u
-        v = nu / kt_u
-        kv_prev, kv = kv, kernel @ v
-        # After this pair the columns are balanced by construction; the
-        # residual lives in the rows.
-        err = np.abs(u * kv - mu).sum() + np.abs(v * kt_u - nu).sum()
-        if err < config.tol:
+    tol, max_iter = config.tol, config.max_iter
+    kernel_t = kernel.T
+    kv = kernel @ np.ones(kernel.shape[1])
+    done = 0
+    while True:
+        # Single pairs until four are done, so fast solves stack nothing;
+        # then half the pairs done, so a solve overshoots its stop by at
+        # most half again. A single pair never passes max_iter.
+        steps = done // 2 or 1
+        if steps > 1:
+            steps = min(steps, _MAX_RUN, max_iter - done)
+        vs, kvs, err = _pairs(kernel, kernel_t, kv, mu, nu, steps, np.matmul)
+        # The first pair under tol stops the solve; later ones are dropped.
+        j = steps - 1
+        if steps > 1:
+            below = np.flatnonzero(err < tol)
+            j = int(below[0]) if below.size else j
+            err = err[j]
+        done += j + 1
+        if err < tol or done == max_iter:
             break
+        kv = kvs[-1]
 
-    plan, achieved = _rounded(kernel, v, kv, kv_prev, marginals)
+    plan, achieved = _rounded(kernel, vs[j], kvs[j + 1], kvs[j], marginals)
     return TransportPlan(
         data=plan,
         achieved_marginal_error=float(achieved),
-        iterations_used=iterations,
-        converged=bool(err < config.tol and not clamped),
+        iterations_used=done,
+        converged=bool(err < tol and not clamped),
         residual=float(err),
     )
 
@@ -279,9 +328,11 @@ def sinkhorn_stack(
     """Solve a stack of transport problems that share their marginals.
 
     ``cost`` has shape ``(..., n, m)``. One alternating-scaling loop
-    updates every problem still active; a problem leaves the active set
-    at the iteration where :func:`sinkhorn` on it alone stops, and is
-    rounded the same way, so each plan and each diagnostic equals that
+    updates every problem still active. Errors are checked once per run
+    of pairs, and a problem's plan is built from the first pair under
+    ``tol``, the pair where :func:`sinkhorn` on it alone stops; problems
+    that stopped leave the active set at the end of the run. Each problem
+    is rounded the same way, so each plan and each diagnostic equals that
     solve's, bit for bit, whatever else shares the stack. The returned
     plan has the cost's shape and carries its diagnostics as arrays over
     the leading axes. A stack holding one problem is solved by
@@ -309,28 +360,43 @@ def sinkhorn_stack(
     kv_prev = np.empty((count, n))
     iterations = np.zeros(count, dtype=int)
     residual = np.zeros(count)
-    # Rows of the active problems, compacted whenever some of them stop.
+    # Rows of the active problems, compacted at the end of each run in
+    # which some of them stop.
     active = np.arange(count)
     k_act = kernel
     kv_act = _matvec(kernel, np.ones((count, m)))
-    it = 0
+    done = 0
     while active.size:
-        it += 1
-        u_act = mu / kv_act
-        kt_u = _matvec(k_act.swapaxes(-1, -2), u_act)
-        v_act = nu / kt_u
-        kv_prev_act, kv_act = kv_act, _matvec(k_act, v_act)
-        err = np.abs(u_act * kv_act - mu).sum(axis=-1) + np.abs(
-            v_act * kt_u - nu
-        ).sum(axis=-1)
-        stop = (err < config.tol) | (it == config.max_iter)
+        # Shorter runs than one problem's: a problem that stops inside a
+        # run is still updated, with the rest of the stack, until it ends.
+        steps = done // 2 or 1
+        if steps > 1:
+            steps = min(steps, _MAX_RUN // 4, config.max_iter - done)
+        vs, kvs, err = _pairs(
+            k_act, k_act.swapaxes(-1, -2), kv_act, mu, nu, steps, _matvec
+        )
+        err = err.reshape(steps, -1)
+        below = err < config.tol
+        done += steps
+        if done == config.max_iter:
+            # The cap stops every problem still active at the run's last pair.
+            below[-1] = True
+        stop = below.any(axis=0) if steps > 1 else below[0]
+        kv_act = kvs[-1]
         if stop.any():
-            done = active[stop]
-            v[done] = v_act[stop]
-            kv[done] = kv_act[stop]
-            kv_prev[done] = kv_prev_act[stop]
-            iterations[done] = it
-            residual[done] = err[stop]
+            finished = active[stop]
+            if steps > 1:
+                # Each stopped problem's first pair under tol, or at the cap
+                # the run's last.
+                rows = np.flatnonzero(stop)
+                j = below[:, rows].argmax(axis=0)
+                picked = vs[j, rows], kvs[j + 1, rows], kvs[j, rows], err[j, rows]
+            else:
+                # A run of one pair stacked nothing: pick by the mask.
+                j = 0
+                picked = vs[0][stop], kvs[1][stop], kvs[0][stop], err[0][stop]
+            v[finished], kv[finished], kv_prev[finished], residual[finished] = picked
+            iterations[finished] = done - steps + 1 + j
             keep = ~stop
             active, k_act, kv_act = active[keep], k_act[keep], kv_act[keep]
 

@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 
 import mpmath as mp
@@ -290,6 +291,21 @@ class TestScorerCaches:
             fresh = Scorer(identity_table, RunConfig()).scores(mention, entity)
             stale += scorer.scores(mention, entity) != fresh
         assert stale == 0
+
+    @pytest.mark.parametrize("mechanism", ["ot", "attention"])
+    def test_clear_keeps_scores_and_releases_records(self, rng, identity_table, mechanism):
+        mention = make_record(rng, "mention", d=8)
+        entities = [make_record(rng, "entity", d=8) for _ in range(3)]
+        scorer = Scorer(identity_table, RunConfig(mechanism=mechanism))
+        before = scorer.score_all(mention, entities)
+        scorer.clear()
+        after = scorer.score_all(mention, entities)
+        for field in ("s_f", "s_t", "s_v", "s_o"):
+            np.testing.assert_array_equal(getattr(after, field), getattr(before, field))
+        refs = [weakref.ref(r) for r in (mention, *entities)]
+        scorer.clear()
+        del mention, entities
+        assert [r() for r in refs] == [None] * 4
 
 
 def pair_reference(mention, entity, table, run):

@@ -13,6 +13,8 @@ from otmel.ot import (
     Marginals,
     SinkhornConfig,
     TransportPlan,
+    _kernel,
+    _rounded,
     exact_ot_uniform_square,
     plan_entropy,
     sinkhorn,
@@ -34,6 +36,54 @@ def scaling_oracle(cost, mu, nu, sharpness, iters=200, dps=50):
             u = [mp.mpf(mu[i]) / mp.fsum(k[i][j] * v[j] for j in range(m)) for i in range(n)]
             v = [mp.mpf(nu[j]) / mp.fsum(k[i][j] * u[i] for i in range(n)) for j in range(m)]
         return [[float(u[i] * k[i][j] * v[j]) for j in range(m)] for i in range(n)]
+
+
+def _reference_sinkhorn(cost, marginals, config):
+    """Sinkhorn on one 2-D problem, checking the marginal error after every pair.
+
+    The solver checks once per run of pairs instead; each problem must
+    still stop at this loop's iteration with this loop's plan. The kernel
+    and the rounding are the solver's own.
+    """
+    kernel, clamped = _kernel(cost, marginals, config)
+    mu, nu = marginals.mu, marginals.nu
+    kv = kernel @ np.ones(kernel.shape[1])
+    for iterations in range(1, config.max_iter + 1):
+        u = mu / kv
+        kt_u = kernel.T @ u
+        v = nu / kt_u
+        kv_prev, kv = kv, kernel @ v
+        err = np.abs(u * kv - mu).sum() + np.abs(v * kt_u - nu).sum()
+        if err < config.tol:
+            break
+    plan, achieved = _rounded(kernel, v, kv, kv_prev, marginals)
+    return TransportPlan(
+        data=plan,
+        achieved_marginal_error=float(achieved),
+        iterations_used=iterations,
+        converged=bool(err < config.tol and not clamped),
+        residual=float(err),
+    )
+
+
+def assert_same_plan(plan, reference):
+    """Every field of a 2-D plan equals the reference's, bit for bit."""
+    np.testing.assert_array_equal(plan.data, reference.data)
+    assert plan.achieved_marginal_error == reference.achieved_marginal_error
+    assert plan.iterations_used == reference.iterations_used
+    assert plan.converged == reference.converged
+    assert plan.residual == reference.residual
+
+
+def stack_member(stack, b):
+    """Problem ``b`` of a solved stack, as a 2-D plan."""
+    return TransportPlan(
+        data=stack.data[b],
+        achieved_marginal_error=stack.achieved_marginal_error[b],
+        iterations_used=stack.iterations_used[b],
+        converged=stack.converged[b],
+        residual=stack.residual[b],
+    )
 
 
 class TestSinkhorn:
@@ -233,18 +283,55 @@ class TestSinkhornStack:
         # some of them early; each must still equal its 2-D solve.
         cost = np.random.default_rng(0).random((320, 6, 5))
         marg = Marginals.uniform(6, 5)
-        config = SinkhornConfig(sharpness=30.0, max_iter=100)
-        stack = sinkhorn_stack(cost, marg, config)
+        # Caps that end inside a run of pairs too: the stack is compacted
+        # only at run ends, so most problems stop in the middle of one.
+        for max_iter in (5, 13, 37, 100):
+            config = SinkhornConfig(sharpness=30.0, max_iter=max_iter)
+            stack = sinkhorn_stack(cost, marg, config)
+            for b in range(len(cost)):
+                reference = _reference_sinkhorn(cost[b], marg, config)
+                assert_same_plan(stack_member(stack, b), reference)
+                assert_same_plan(sinkhorn(cost[b], marg, config), reference)
         iterations = stack.iterations_used
         assert len(np.unique(iterations)) > 10
         assert (iterations == config.max_iter).any()
         assert (iterations < config.max_iter).any()
-        for b in range(len(cost)):
-            single = sinkhorn(cost[b], marg, config)
-            np.testing.assert_array_equal(stack.data[b], single.data)
-            assert iterations[b] == single.iterations_used
-            assert stack.converged[b] == single.converged
-            assert stack.residual[b] == single.residual
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sharpness=st.sampled_from([0.6, 30.0, 50.0, 1500.0]),
+        max_iter=st.sampled_from([1, 2, 3, 5, 6, 9, 37, 1000]),
+        tol=st.sampled_from([1e-3, 1e-6, 1e-9]),
+        count=st.integers(1, 40),
+        n=st.integers(1, 8),
+        m=st.integers(1, 8),
+        masses=st.sampled_from(["uniform", "random", "zero-mass"]),
+    )
+    def test_checks_per_run_match_per_pair_reference(
+        self, seed, sharpness, max_iter, tol, count, n, m, masses
+    ):
+        # Errors are checked once per run of pairs. Each problem must still
+        # stop at the first pair under tol, and pairs computed past a stop
+        # must not warn where the per-pair loop does not.
+        rng = np.random.default_rng(seed)
+        cost = rng.random((count, n, m))
+        if masses == "uniform":
+            marg = Marginals.uniform(n, m)
+        else:
+            mu = rng.random(n) + 0.05
+            nu = rng.random(m) + 0.05
+            for vec in (mu, nu):
+                if masses == "zero-mass" and len(vec) > 1:
+                    vec[rng.integers(len(vec))] = 0.0
+            marg = Marginals(mu / mu.sum(), nu / nu.sum())
+        config = SinkhornConfig(sharpness=sharpness, tol=tol, max_iter=max_iter)
+        stack = sinkhorn_stack(cost, marg, config)
+        for b in range(count):
+            reference = _reference_sinkhorn(cost[b], marg, config)
+            assert_same_plan(sinkhorn(cost[b], marg, config), reference)
+            assert_same_plan(stack_member(stack, b), reference)
 
 
 class TestExactOracle:
