@@ -46,15 +46,10 @@ from .matching import (
     unimodal_score,
 )
 from .objectives import (
-    BatchScores,
     DistillPair,
     ToyTrainConfig,
-    batch_scores,
     contrastive_loss,
     distill_gap,
-    kd_loss,
-    total_loss_with_kd,
-    total_matching_loss,
     toy_train,
 )
 from .ot import (

@@ -235,22 +235,27 @@ def assignment_stack(
 ) -> np.ndarray:
     """The assignment matrices of several projected ``(Q, K)`` stacks, solved as one.
 
-    Each part holds a ``(B, n, d)`` query stack and keys that broadcast
-    against it; all parts share n and the key length m. Each part's cosine
+    Each part holds a ``(..., B, n, d)`` query stack and keys that
+    broadcast against it; all parts share n, the key length m and any
+    leading probe axes ahead of the record axis B. Each part's cosine
     cost (transport) or scaled scores (attention) is built on its own, as
-    :func:`assign` builds it, then the parts are concatenated along the
-    leading axis and solved by one :func:`~otmel.ot.sinkhorn_stack` or one
+    :func:`assign` builds it, then the parts are joined on the record
+    axis (-3) and solved by one :func:`~otmel.ot.sinkhorn_stack` or one
     row softmax. Part by part, the result equals the ``a`` of
     :func:`assign` on the same projections, bit for bit.
     ``parts`` may be a generator, so that only one part's Q and K need be
     alive at a time.
     """
     if mechanism == ATTENTION:
-        return row_softmax(np.concatenate([attention_logits(q, k) for q, k in parts]))
+        logits = [attention_logits(q, k) for q, k in parts]
+        return row_softmax(np.concatenate(logits, axis=-3))
     if mechanism == OT:
         costs = [cosine_cost(q, k) for q, k in parts]
         # A lone part goes in as it is: concatenating would copy and recheck it.
-        cost = costs[0] if len(costs) == 1 else np.concatenate([c.data for c in costs])
+        if len(costs) == 1:
+            cost = costs[0]
+        else:
+            cost = np.concatenate([c.data for c in costs], axis=-3)
         marginals = Marginals.uniform(costs[0].n, costs[0].m)
         return sinkhorn_stack(cost, marginals, config).data
     raise ConfigError(f"unknown mechanism {mechanism!r}")

@@ -4,6 +4,9 @@ Scores come in three flavors: the fused score compares pooled
 multimodal representations, the two unimodal scores compare transported
 features and raw summary rows within a single modality, and the overall
 score averages whichever of the three the configuration keeps.
+:meth:`Scorer.score_grid` is the one forward scoring path: ranking, the
+batch losses and the toy trainer's finite-difference probes all score
+through it.
 """
 
 from __future__ import annotations
@@ -179,6 +182,12 @@ def _by_rows(sides: list[FeatureMatrix]) -> list[list[int]]:
     return list(groups.values())
 
 
+def _records(vectors) -> np.ndarray:
+    """Per-record pooled vectors stacked on the record axis, after any probe axes."""
+    stacked = np.array(vectors)
+    return stacked if stacked.ndim == 2 else np.moveaxis(stacked, 0, -2)
+
+
 def _hit(cache: dict, record):
     """The entry cached for this very record object, or None."""
     entry = cache.get(id(record))
@@ -226,6 +235,11 @@ class Scorer:
     for bit, the one :func:`fused_score`, :func:`pooled_pair` and
     :func:`unimodal_score` give for the pair alone, whatever else shares
     the call.
+    A table entry may carry leading probe axes on its matrices, such as
+    the toy trainer's ``(P, 1, d, d)`` stacks of perturbed copies, whose
+    unit axis broadcasts over the stacked records. They lead every array
+    derived from that entry, ahead of the record axes, and each probe's
+    slice equals, bit for bit, the result under that probe alone.
     """
 
     def __init__(self, projections: ProjectionTable, config: RunConfig = RunConfig()):
@@ -283,7 +297,11 @@ class Scorer:
                 # two directions' temporaries are never all alive at once.
                 text = self._pool_transported(blocks, "text", "visual", v2t_proj)
                 visual = self._pool_transported(blocks, "visual", "text", t2v_proj)
-                for r, pair in zip(chunk, zip(text, visual)):
+                # Rows of a moved-axis view restack about twice as slowly.
+                per_record = (
+                    x if x.ndim == 2 else np.moveaxis(x, -2, 0) for x in (text, visual)
+                )
+                for r, pair in zip(chunk, zip(*per_record)):
                     self._pooled[id(r)] = (r, pair)
 
     def _pool_transported(self, blocks, dst: str, src: str, proj) -> np.ndarray:
@@ -309,17 +327,21 @@ class Scorer:
         a = assignment_stack(parts(), self.config.mechanism, self._solver_config)
         pooled, start = [], 0
         for block, h in zip(blocks, values):
-            g = a[start : start + len(block)] @ h
+            g = a[..., start : start + len(block), :, :] @ h
             start += len(block)
-            pooled.append(stack_pool([rows(block, dst), g], self.config.pool))
-        return np.concatenate(pooled)
+            x = rows(block, dst)
+            if x.shape != g.shape:
+                x = np.broadcast_to(x, g.shape)
+            pooled.append(stack_pool([x, g], self.config.pool))
+        return np.concatenate(pooled, axis=-2)
 
     def _entity_queries(self, entity) -> tuple[np.ndarray, np.ndarray]:
         """The entity's text and visual rows projected to unimodal queries."""
         found = _hit(self._queries, entity)
         if found is None:
+            # A unit record axis, on which a block of entities is joined.
             found = tuple(
-                _fitted(getattr(entity, attr), self.projections[site])
+                _fitted(getattr(entity, attr), self.projections[site])[None]
                 @ self.projections[site].w_q
                 for site, attr in _UNIMODAL
             )
@@ -331,10 +353,11 @@ class Scorer:
 
         Entities are grouped by sequence length, then blocked by
         ``_BLOCK``; mentions are grouped by sequence length. Against each
-        entity block, the cost stacks of a group's mentions are solved
-        together, as many mentions per solve as keep it within one
-        block's ``(_BLOCK, n, d)`` transported features. Groups are never
-        padded, since padding would change the uniform marginals.
+        entity block, a chunk of a group's mentions is one cost stack and
+        one solve, as many mentions as keep it within one block's
+        ``(_BLOCK, n, d)`` transported features; it is transported and
+        pooled in slices that each stay within that bound too. Groups are
+        never padded, since padding would change the uniform marginals.
         """
         site, attr = _UNIMODAL[which]
         proj = self.projections[site]
@@ -342,25 +365,30 @@ class Scorer:
         entity_sides = [getattr(e, attr) for e in entities]
         blocks = [b for rows in _by_rows(entity_sides) for b in _chunks(rows, _BLOCK)]
         groups = _by_rows(sides)
-        values = np.empty((len(mentions), len(entities)))
+        grid, values = (len(mentions), len(entities)), None
         for block in blocks:
-            q = np.array([self._entity_queries(entities[j])[which] for j in block])
+            queries = [self._entity_queries(entities[j])[which] for j in block]
+            # Probe axes lead; the chunk's mention axis goes before the block's.
+            q = np.concatenate(queries, axis=-3)[..., None, :, :, :]
             t_e = np.array([entity_sides[j].summary for j in block])
+            step = max(1, _BLOCK // len(block))
             for group in groups:
                 per_solve = _BLOCK * proj.dim // (len(block) * sides[group[0]].rows)
                 for chunk in _chunks(group, max(1, per_solve)):
-                    x = [_fitted(sides[i], proj) for i in chunk]
+                    x = np.array([_fitted(sides[i], proj) for i in chunk])
+                    k = (x @ proj.w_k)[..., None, :, :]
                     a = assignment_stack(
-                        [(q, x_i @ proj.w_k) for x_i in x],
-                        self.config.mechanism,
-                        self._solver_config,
+                        [(q, k)], self.config.mechanism, self._solver_config
                     )
-                    per_mention = a.reshape(len(chunk), len(block), *a.shape[1:])
-                    for i, x_i, a_i in zip(chunk, x, per_mention):
-                        g = a_i @ (x_i @ proj.w_h)
-                        values[i, block] = _unimodal_value(
-                            g, sides[i].summary, t_e, self.config.pool
-                        )
+                    t_m = np.array([sides[i].summary for i in chunk])[:, None]
+                    for s in range(0, len(chunk), step):
+                        cut = slice(s, s + step)
+                        h = (x[cut] @ proj.w_h)[..., None, :, :]
+                        g = a[..., cut, :, :, :] @ h
+                        v = _unimodal_value(g, t_m[cut], t_e, self.config.pool)
+                        if values is None:
+                            values = np.empty(v.shape[:-2] + grid)
+                        values[..., np.array(chunk[cut])[:, None], block] = v
         return values
 
     def score_grid(self, mentions, entities) -> CatalogScores:
@@ -372,7 +400,9 @@ class Scorer:
         stacks of many mentions against a block of entities as one stack.
         A score depends only on its own mention and entity, never on what
         else shares the call. Ablated components read 0. Each field is an
-        ``(M, E)`` grid, so a call holds four floats per pair.
+        ``(M, E)`` grid, so a call holds four floats per pair. Under a
+        table entry with ``(P, 1, d, d)`` probe matrices, every field the
+        entry feeds is a ``(P, M, E)`` grid, one per probe.
         """
         mentions, entities = list(mentions), list(entities)
         shape = (len(mentions), len(entities))
@@ -382,9 +412,10 @@ class Scorer:
         parts = []
         if self.uses_fused:
             self.warm(entities + mentions)
-            m_text, m_vis = (np.array(v) for v in zip(*map(self.pooled, mentions)))
-            e_text, e_vis = (np.array(v) for v in zip(*map(self.pooled, entities)))
-            m_text, m_vis = m_text[:, None], m_vis[:, None]
+            m_text, m_vis = (_records(v) for v in zip(*map(self.pooled, mentions)))
+            e_text, e_vis = (_records(v) for v in zip(*map(self.pooled, entities)))
+            m_text, m_vis = m_text[..., :, None, :], m_vis[..., :, None, :]
+            e_text, e_vis = e_text[..., None, :, :], e_vis[..., None, :, :]
             s_f = _rowdot(m_text, e_text) + _rowdot(m_vis, e_vis)
             parts.append(s_f)
         if self.uses_unimodal:

@@ -7,10 +7,12 @@ logits (student) through row- and column-wise KL divergences. The toy
 trainer descends these objectives over the projection tables with central
 finite differences; it is meant for small synthetic datasets only and
 guards its input sizes accordingly. Its batch objective holds what a step
-keeps fixed (each site's problems stacked by shape, and the teacher plans)
-and recomputes every site from the table it is given. All probes of one
-projection matrix go in as one stack of perturbed copies, which passes
-through assignment, pooling and the losses as one more leading axis.
+keeps fixed (the batch, and the teacher plans) and scores the batch under
+the table it is given with :meth:`~otmel.matching.Scorer.score_grid`, the
+scoring core ranking uses; of its own it keeps only the distillation term.
+All probes of one projection matrix go in as one stack of perturbed
+copies, which passes through scoring and the losses as one more leading
+axis.
 """
 
 from __future__ import annotations
@@ -19,14 +21,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import ABLATION_NO_FUSED, ABLATION_NO_UNIMODAL, RunConfig
+from .config import RunConfig
 from .correlation import (
     ATTENTION,
-    CROSS_MODAL_SITES,
     OT,
     PIPELINE_SITES,
     REVERSE_UNIMODAL_SITES,
-    UNIMODAL_SITES,
     AssignmentSite,
     ProjectionTable,
     assign,
@@ -36,7 +36,7 @@ from .correlation import (
 )
 from .data_io import Dataset
 from .errors import ConfigError, DataError, DimensionError, NonFiniteError
-from .matching import Scorer, _rowdot, _unimodal_value, stack_pool
+from .matching import Scorer
 from .ot import Marginals, sinkhorn
 from .types import FeatureMatrix, ProjectionSet
 
@@ -61,49 +61,6 @@ def contrastive_loss(scores: np.ndarray) -> float | np.ndarray:
     log_probs = _log_softmax(scores, axis=-1)
     loss = -np.diagonal(log_probs, axis1=-2, axis2=-1).mean(axis=-1)
     return float(loss) if loss.ndim == 0 else loss
-
-
-@dataclass(frozen=True)
-class BatchScores:
-    """Square in-batch score matrices, one per score kind.
-
-    ``o`` is always present; ``f``/``t``/``v`` are None when the run
-    configuration ablates them.
-    """
-
-    o: np.ndarray
-    f: np.ndarray | None = None
-    t: np.ndarray | None = None
-    v: np.ndarray | None = None
-
-
-def batch_scores(mentions, entities, scorer: Scorer) -> BatchScores:
-    """Score every mention against every entity; diagonal pairs are gold.
-
-    Callers arrange ``entities`` so that entity j is mention j's gold.
-    The whole batch is one :meth:`~otmel.matching.Scorer.score_grid` call.
-    """
-    if len(mentions) != len(entities):
-        raise DimensionError(
-            f"batch needs matching counts, got {len(mentions)} mentions "
-            f"and {len(entities)} entities"
-        )
-    grid = scorer.score_grid(mentions, entities)
-    return BatchScores(
-        o=grid.s_o,
-        f=grid.s_f if scorer.uses_fused else None,
-        t=grid.s_t if scorer.uses_unimodal else None,
-        v=grid.s_v if scorer.uses_unimodal else None,
-    )
-
-
-def total_matching_loss(batch: BatchScores) -> float:
-    """Contrastive loss on the overall scores plus every present component."""
-    total = contrastive_loss(batch.o)
-    for matrix in (batch.f, batch.t, batch.v):
-        if matrix is not None:
-            total += contrastive_loss(matrix)
-    return total
 
 
 @dataclass(frozen=True)
@@ -149,16 +106,6 @@ def kd_pair_loss(plan: np.ndarray, logits: np.ndarray) -> float | np.ndarray:
 
     loss = 0.5 * (directed(-1) + directed(-2))
     return float(loss) if loss.ndim == 0 else loss
-
-
-def kd_loss(pairs) -> float:
-    """Total distillation loss: the sum over all teacher/student pairs."""
-    return float(sum(kd_pair_loss(p.plan, p.logits) for p in pairs))
-
-
-def total_loss_with_kd(batch: BatchScores, pairs) -> float:
-    """Matching loss plus the distillation term."""
-    return total_matching_loss(batch) + kd_loss(pairs)
 
 
 # --- distillation bookkeeping -------------------------------------------
@@ -311,134 +258,78 @@ class TraceRow:
     total: float
 
 
-def _shape_groups(legs, kd_legs, proj: ProjectionSet, solver):
-    """Stack a site's legs (its assignment problems) by (dst, src) shape.
-
-    Returns one ``(dst, src, kd_at, teachers)`` per shape: the stacked
-    destination and source rows of its legs, the group positions of its
-    legs in ``kd_legs``, and their transport plans under ``proj`` (None
-    when there are none). Then the orders that take the groups'
-    concatenated legs back to leg order, and their concatenated kd legs
-    to ``kd_legs`` order.
-    """
-    by_shape: dict[tuple, list[int]] = {}
-    for k, (dst, src) in enumerate(legs):
-        by_shape.setdefault((dst.data.shape, src.data.shape), []).append(k)
-    kd_rank = {k: r for r, k in enumerate(kd_legs)}
-    groups, kd_ranks = [], []
-    for ks in by_shape.values():
-        dst = np.stack([legs[k][0].data for k in ks])
-        src = np.stack([legs[k][1].data for k in ks])
-        kd_at = [p for p, k in enumerate(ks) if k in kd_rank]
-        kd_ranks += [kd_rank[ks[p]] for p in kd_at]
-        teachers = assign(dst[kd_at], src[kd_at], proj, OT, solver).a if kd_at else None
-        groups.append((dst, src, kd_at, teachers))
-    leg_order = np.argsort(np.concatenate(list(by_shape.values())))
-    return groups, leg_order, np.argsort(np.array(kd_ranks, dtype=int))
-
-
 class _BatchObjective:
     """The batch objective of one step, as a function of the projection table.
 
-    Construction fixes what a step holds constant: each scored or distilled
-    site's legs (its assignment problems), stacked by shape, and the teacher
-    plans of its distilled legs under the starting table, which makes the
+    Construction fixes what a step holds constant: the batch, and the
+    teacher plans of each distilled site's legs (its assignment problems)
+    under the starting table, stacked by shape, which makes the
     distillation term a pure student-side objective within a step.
-    :meth:`row` recomputes every site from the table it is given. Leading
-    probe axes on a table entry's matrices give a row of arrays over them,
-    each entry equal, bit for bit, to the row under that probe alone.
+    :meth:`row` reads the matching losses from the gold columns of one
+    :meth:`~otmel.matching.Scorer.score_grid` under the table it is given,
+    and the distillation term from the students' logits; a site whose
+    entry is still the starting one keeps its starting term. Leading probe
+    axes on a table entry's matrices give a row of arrays over them, each
+    entry equal, bit for bit, to the row under that probe alone.
     """
 
     def __init__(self, mentions, golds, table, run: RunConfig, kd_sites=()):
         self.mentions = list(mentions)
-        self.golds = list(golds)
         self.run = run
-        self.solver = run.sinkhorn_config()
-        self.use_fused = ABLATION_NO_FUSED not in run.ablations
-        self.use_unimodal = ABLATION_NO_UNIMODAL not in run.ablations
         self.kd_sites = tuple(kd_sites)
-
-        entities = _unique_by_identity(self.golds)
-        slot = {id(e): u for u, e in enumerate(entities)}
-        self._gold_slots = [slot[id(g)] for g in self.golds]
-        scored = (CROSS_MODAL_SITES if self.use_fused else ()) + (
-            UNIMODAL_SITES if self.use_unimodal else ()
-        )
-        sites = tuple(dict.fromkeys(scored + self.kd_sites))
-        # The (destination, source) legs of each site, and which of them
-        # are distilled; a scored unimodal site scores every distinct gold
-        # against every mention and distils the gold pairs.
-        pairs = distill_instances(self.mentions, self.golds, sites)
-        kd_legs = {site: range(len(pairs[site])) for site in self.kd_sites}
-        if self.use_unimodal:
-            for site in UNIMODAL_SITES:
-                attr = _PAIR_LEGS[site][0]
-                pairs[site] = [
-                    (getattr(e, attr), getattr(m, attr))
-                    for e in entities
-                    for m in self.mentions
-                ]
-                if site in kd_legs:
-                    b = len(self.mentions)
-                    kd_legs[site] = [u * b + i for i, u in enumerate(self._gold_slots)]
-        self._groups = {
-            s: _shape_groups(pairs[s], kd_legs.get(s, ()), table[s], self.solver)
-            for s in sites
+        # Each distinct gold is scored once; its gold columns put mention
+        # i's gold in column i.
+        self.entities = _unique_by_identity(golds)
+        slot = {id(e): u for u, e in enumerate(self.entities)}
+        self._gold_slots = [slot[id(g)] for g in golds]
+        solver = run.sinkhorn_config()
+        self._teachers = {}
+        for site, legs in distill_instances(self.mentions, golds, self.kd_sites).items():
+            by_shape: dict[tuple, list[int]] = {}
+            for k, (dst, src) in enumerate(legs):
+                by_shape.setdefault((dst.data.shape, src.data.shape), []).append(k)
+            groups = []
+            for ks in by_shape.values():
+                dst = np.stack([legs[k][0].data for k in ks])
+                src = np.stack([legs[k][1].data for k in ks])
+                teachers = assign(dst, src, table[site], OT, solver).a
+                groups.append((dst, src, teachers))
+            # The order that takes the groups' concatenated legs back to leg order.
+            order = np.argsort(np.concatenate(list(by_shape.values())))
+            self._teachers[site] = (groups, order)
+        # A step probes one site at a time, so the other sites keep their
+        # starting entries, and with them their starting kd terms.
+        self._kd_at_start = {
+            site: (table[site], self._kd(site, table[site])) for site in self.kd_sites
         }
 
-    def _part(self, site, proj: ProjectionSet):
-        """The site's (value, kd term) under ``proj``; its probe axes lead both.
-
-        The value is what the matching losses read: the pooled vectors of a
-        cross-modal site, one row per mention or gold; the mention-by-gold
-        score matrix of a unimodal site; None for a site only distilled.
-        """
-        groups, leg_order, kd_order = self._groups[site]
-        fused = site in CROSS_MODAL_SITES and self.use_fused
-        unimodal = site in UNIMODAL_SITES and self.use_unimodal
-        values, terms = [], []
-        for dst, src, kd_at, teachers in groups:
-            r = assign(dst, src, proj, self.run.mechanism, self.solver)
-            if kd_at:
-                logits = r.logits[..., kd_at, :, :]
-                terms.append(kd_pair_loss(np.broadcast_to(teachers, logits.shape), logits))
-            if fused:
-                pooled = stack_pool([np.broadcast_to(dst, r.g.shape), r.g], self.run.pool)
-                values.append(pooled)
-            elif unimodal:
-                # Row 0 of each side is its summary row.
-                values.append(_unimodal_value(r.g, src[:, 0], dst[:, 0], self.run.pool))
-        kd = 0.0
-        if terms:
-            # Left to right in kd-leg order, as a loop over the legs adds.
-            kd = np.cumsum(np.concatenate(terms, axis=-1)[..., kd_order], axis=-1)[..., -1]
-            kd = float(kd) if kd.ndim == 0 else kd
-        if fused:
-            pooled = np.concatenate(values, axis=-2)[..., leg_order, :]
-            is_mention = _CROSS_LEGS[site][0] == "mention"
-            return (pooled if is_mention else pooled[..., self._gold_slots, :]), kd
-        if unimodal:
-            grid = np.concatenate(values, axis=-1)[..., leg_order]
-            grid = grid.reshape(*grid.shape[:-1], -1, len(self.mentions))
-            return grid[..., self._gold_slots, :].swapaxes(-1, -2), kd
-        return None, kd
+    def _kd(self, site, proj: ProjectionSet):
+        """The site's distillation term under ``proj``; its probe axes lead."""
+        groups, order = self._teachers[site]
+        terms = []
+        for dst, src, teachers in groups:
+            logits = attention_logits(dst @ proj.w_q, src @ proj.w_k)
+            terms.append(kd_pair_loss(np.broadcast_to(teachers, logits.shape), logits))
+        # Left to right in leg order, as a loop over the legs adds.
+        kd = np.cumsum(np.concatenate(terms, axis=-1)[..., order], axis=-1)[..., -1]
+        return float(kd) if kd.ndim == 0 else kd
 
     def row(self, table: ProjectionTable) -> TraceRow:
         """Every loss component under ``table``, with teachers held from the start."""
-        parts = {site: self._part(site, table[site]) for site in self._groups}
-        f = t = v = None
-        if self.use_fused:
-            m_text, m_vis, e_text, e_vis = (parts[s][0] for s in CROSS_MODAL_SITES)
-            # Each score is one dot product, summed as ranking sums it.
-            f = _rowdot(m_text[..., None, :], e_text[..., None, :, :]) + _rowdot(
-                m_vis[..., None, :], e_vis[..., None, :, :]
-            )
-        if self.use_unimodal:
-            t, v = (parts[s][0] for s in UNIMODAL_SITES)
-        present = [x for x in (f, t, v) if x is not None]
-        l_f, l_t, l_v = (0.0 if x is None else contrastive_loss(x) for x in (f, t, v))
-        l_o = contrastive_loss(sum(present) / len(present))
-        l_kd = sum((parts[s][1] for s in self.kd_sites), 0.0)
+        scorer = Scorer(table, self.run)
+        grid = scorer.score_grid(self.mentions, self.entities)
+
+        def loss(scores, used=True):
+            return contrastive_loss(scores[..., self._gold_slots]) if used else 0.0
+
+        l_f = loss(grid.s_f, scorer.uses_fused)
+        l_t = loss(grid.s_t, scorer.uses_unimodal)
+        l_v = loss(grid.s_v, scorer.uses_unimodal)
+        l_o = loss(grid.s_o)
+        l_kd = 0.0
+        for site in self.kd_sites:
+            start, kd = self._kd_at_start[site]
+            l_kd = l_kd + (kd if table[site] is start else self._kd(site, table[site]))
         return TraceRow(
             step=0,
             l_f=l_f,

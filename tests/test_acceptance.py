@@ -30,15 +30,14 @@ from otmel.evaluation import RankingResult, hits_at_k, mrr, rank_all
 from otmel.fixtures import FixtureSpec, correspondence_recovery, make_dataset
 from otmel.matching import Scorer
 from otmel.objectives import (
-    BatchScores,
-    DistillPair,
+    TRAINING_TOL,
     ToyTrainConfig,
+    batch_loss_report,
     contrastive_loss,
     distill_gap,
+    distill_pairs,
     fd_gradient,
-    kd_loss,
-    total_loss_with_kd,
-    total_matching_loss,
+    kd_pair_loss,
     toy_train,
 )
 from otmel.ot import (
@@ -292,22 +291,44 @@ def test_criterion_08_loss_identities():
         loss = contrastive_loss(np.full((b, b), 0.37))
         worst_uniform = max(worst_uniform, abs(loss - np.log(b)))
 
+    # The reported row decomposes into losses composed from public pieces:
+    # each score kind's gold-column grid, and every distilled pair.
     rng = np.random.default_rng(5)
     worst_decomp = 0.0
     for _ in range(20):
         b = int(rng.integers(2, 7))
-        mats = {k: rng.standard_normal((b, b)) * 2 for k in ("o", "f", "t", "v")}
-        batch = BatchScores(**mats)
-        expected = sum(contrastive_loss(m) for m in mats.values())
-        worst_decomp = max(worst_decomp, abs(total_matching_loss(batch) - expected))
-        pairs = [
-            DistillPair(rng.random((3, 4)), rng.standard_normal((3, 4)))
-            for _ in range(int(rng.integers(1, 4)))
-        ]
-        combined = total_loss_with_kd(batch, pairs)
-        worst_decomp = max(
-            worst_decomp, abs(combined - (total_matching_loss(batch) + kd_loss(pairs)))
+        spec = FixtureSpec(
+            seed=int(rng.integers(2**31)), d=6, n_entities=int(rng.integers(1, b)),
+            n_mentions=b, text_len=int(rng.integers(2, 5)),
+            visual_len=int(rng.integers(2, 5)), noise_sigma=0.3,
         )
+        dataset, _ = make_dataset(spec)
+        table = default_projections(6, seed=int(rng.integers(1000)), scale=1.5)
+        objective = ("ot", "kd")[int(rng.integers(2))]
+        run = RunConfig(
+            tol=TRAINING_TOL,
+            mechanism="ot" if objective == "ot" else "attention",
+            ablations=frozenset(((), ("no_fusm",), ("no_unim",))[int(rng.integers(3))]),
+        )
+        row = batch_loss_report(dataset, table, run, objective)
+        mentions = list(dataset.mentions)
+        golds = [dataset.gold_of(m) for m in mentions]
+        scorer = Scorer(table, run)
+        grid = scorer.score_grid(mentions, golds)
+        kd_sites = ToyTrainConfig(steps=0, objective=objective).distilled_sites()
+        pairs = distill_pairs(mentions, golds, table, run, kd_sites)
+        expected = {
+            "l_f": contrastive_loss(grid.s_f) if scorer.uses_fused else 0.0,
+            "l_t": contrastive_loss(grid.s_t) if scorer.uses_unimodal else 0.0,
+            "l_v": contrastive_loss(grid.s_v) if scorer.uses_unimodal else 0.0,
+            "l_o": contrastive_loss(grid.s_o),
+            "l_kd": sum(
+                kd_pair_loss(p.plan, p.logits) for ps in pairs.values() for p in ps
+            ),
+        }
+        expected["total"] = sum(getattr(row, k) for k in expected)
+        for key, value in expected.items():
+            worst_decomp = max(worst_decomp, abs(getattr(row, key) - value))
     ok = worst_uniform < 1e-12 and worst_decomp < 1e-12
     report(
         8,

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from otmel.config import RunConfig
 from otmel.correlation import (
+    CROSS_MODAL_SITES,
     OT,
+    UNIMODAL_SITES,
     AssignmentSite,
     default_projections,
     interact_record,
@@ -492,6 +494,56 @@ class TestScoreGrid:
                 for j in range(0, len(entities), 7):
                     reference = pair_reference(mention, entities[j], table, run)
                     assert got.row(j) == reference
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        run=RUN_CONFIGS,
+        probes=st.integers(1, 3),
+        mentions=st.integers(1, 3),
+        wide=st.booleans(),
+        pick=st.integers(0, 5),
+        name=st.sampled_from(["w_q", "w_k", "w_h"]),
+    )
+    def test_probe_axes_give_each_probes_grid(
+        self, seed, run, probes, mentions, wide, pick, name
+    ):
+        # The toy trainer's probes: one site's matrix as a (P, 1, d, d)
+        # stack, whose unit axis broadcasts over the stacked records. A
+        # wide catalog has a 33-entity block of one length, so its solves
+        # split.
+        rng = np.random.default_rng(seed)
+        d = 4
+        table = default_projections(d, seed=seed % 1000, scale=1.5)
+        entities = random_catalog(rng, 3, d=d)
+        if wide:
+            entities += [
+                make_record(rng, "entity", rows_text=2, rows_visual=3, d=d)
+                for _ in range(33)
+            ]
+        batch = mixed_mentions(rng, mentions, d=d)
+        used = (CROSS_MODAL_SITES if "no_fusm" not in run.ablations else ()) + (
+            UNIMODAL_SITES if "no_unim" not in run.ablations else ()
+        )
+        site = used[pick % len(used)]
+        probed = {
+            AssignmentSite.MENTION_TO_ENTITY_TEXT: "s_t",
+            AssignmentSite.MENTION_TO_ENTITY_VISUAL: "s_v",
+        }.get(site, "s_f")
+        stack = getattr(table[site], name) + 0.1 * rng.standard_normal((probes, 1, d, d))
+
+        def grid(matrix):
+            probe_table = {**table, site: table[site].replace(**{name: matrix})}
+            return Scorer(probe_table, run).score_grid(batch, entities)
+
+        stacked = grid(stack)
+        shape = (probes, mentions, len(entities))
+        assert stacked.s_o.shape == getattr(stacked, probed).shape == shape
+        for p in range(probes):
+            alone = grid(stack[p, 0])
+            for field in ("s_f", "s_t", "s_v", "s_o"):
+                got = np.broadcast_to(getattr(stacked, field), shape)[p]
+                np.testing.assert_array_equal(got, getattr(alone, field))
 
     def test_empty_blocks(self, identity_table, rng):
         scorer = Scorer(identity_table, RunConfig())

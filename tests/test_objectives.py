@@ -15,21 +15,16 @@ from otmel.fixtures import FixtureSpec, make_dataset
 from otmel.matching import Scorer
 from otmel.objectives import (
     TRAINING_TOL,
-    BatchScores,
     DistillPair,
     ToyTrainConfig,
     _BatchObjective,
     _training_run,
     batch_loss_report,
-    batch_scores,
     contrastive_loss,
     distill_gap,
     distill_pairs,
     fd_gradient,
-    kd_loss,
     kd_pair_loss,
-    total_loss_with_kd,
-    total_matching_loss,
     toy_train,
 )
 from otmel.types import FeatureMatrix
@@ -91,32 +86,6 @@ class TestContrastiveLoss:
             contrastive_loss(rng.standard_normal((3, 4)))
 
 
-class TestTotalMatchingLoss:
-    def test_uniform_batch_is_4_log_b(self):
-        b = 3
-        mats = {k: np.zeros((b, b)) for k in ("o", "f", "t", "v")}
-        assert total_matching_loss(BatchScores(**mats)) == pytest.approx(
-            4 * np.log(b), abs=1e-12
-        )
-
-    def test_single_mention_batch_zero(self):
-        mats = {k: np.array([[1.0]]) for k in ("o", "f", "t", "v")}
-        assert total_matching_loss(BatchScores(**mats)) == 0.0
-
-    def test_decomposition(self, rng):
-        mats = {k: rng.standard_normal((4, 4)) for k in ("o", "f", "t", "v")}
-        batch = BatchScores(**mats)
-        expected = sum(contrastive_loss(m) for m in mats.values())
-        assert total_matching_loss(batch) == pytest.approx(expected, abs=1e-12)
-
-    def test_ablated_components_skipped(self, rng):
-        o = rng.standard_normal((3, 3))
-        batch = BatchScores(o=o, f=None, t=None, v=None)
-        assert total_matching_loss(batch) == pytest.approx(
-            contrastive_loss(o), abs=1e-15
-        )
-
-
 class TestKdLoss:
     def test_matched_distributions_zero(self, rng):
         plan = rng.random((3, 4)) + 0.1
@@ -162,16 +131,6 @@ class TestKdLoss:
             value = kd_pair_loss(rng.random((3, 3)), rng.standard_normal((3, 3)))
             assert value >= -1e-15
 
-    def test_sum_over_pairs(self, rng):
-        pairs = [
-            DistillPair(rng.random((2, 3)), rng.standard_normal((2, 3)))
-            for _ in range(3)
-        ]
-        total = kd_loss(pairs)
-        assert total == pytest.approx(
-            sum(kd_pair_loss(p.plan, p.logits) for p in pairs), abs=1e-12
-        )
-
     def test_shape_mismatch_rejected(self, rng):
         with pytest.raises(DimensionError):
             DistillPair(rng.random((2, 3)), rng.random((3, 2)))
@@ -198,30 +157,6 @@ class TestKdLoss:
             single = kd_pair_loss(plans[b], logits[b])
             assert isinstance(single, float)
             assert stacked[b] == single
-
-
-class TestTotalLossWithKd:
-    def test_zero_kd_reduces_to_matching(self, rng):
-        mats = {k: rng.standard_normal((3, 3)) for k in ("o", "f", "t", "v")}
-        batch = BatchScores(**mats)
-        assert total_loss_with_kd(batch, []) == pytest.approx(
-            total_matching_loss(batch), abs=1e-15
-        )
-
-    def test_single_mention_reduces_to_kd(self, rng):
-        mats = {k: np.array([[1.0]]) for k in ("o", "f", "t", "v")}
-        pairs = [DistillPair(rng.random((2, 2)), rng.standard_normal((2, 2)))]
-        assert total_loss_with_kd(BatchScores(**mats), pairs) == pytest.approx(
-            kd_loss(pairs), abs=1e-12
-        )
-
-    def test_decomposition(self, rng):
-        mats = {k: rng.standard_normal((2, 2)) for k in ("o", "f", "t", "v")}
-        batch = BatchScores(**mats)
-        pairs = [DistillPair(rng.random((3, 3)), rng.standard_normal((3, 3)))]
-        assert total_loss_with_kd(batch, pairs) == pytest.approx(
-            total_matching_loss(batch) + kd_loss(pairs), abs=1e-12
-        )
 
 
 @pytest.fixture(scope="module")
@@ -277,43 +212,74 @@ def batch_of(dataset):
     return mentions, [dataset.gold_of(m) for m in mentions]
 
 
-class TestBatchObjectiveCaching:
+POOLS = ("soft", "mean", "max")
+ABLATIONS = ((), ("no_fusm",), ("no_unim",))
+
+
+def composed_losses(mentions, golds, table, run, kd_sites=()):
+    """The row's loss components composed from public pieces.
+
+    Each matching loss is the contrastive loss of one score kind of the
+    grid against the golds as given, repeats and all, so gold i sits in
+    column i; the distillation term sums every pair's divergence.
+    """
+    scorer = Scorer(table, run)
+    grid = scorer.score_grid(mentions, golds)
+    pairs = distill_pairs(mentions, golds, table, run, kd_sites)
+    return {
+        "l_f": contrastive_loss(grid.s_f) if scorer.uses_fused else 0.0,
+        "l_t": contrastive_loss(grid.s_t) if scorer.uses_unimodal else 0.0,
+        "l_v": contrastive_loss(grid.s_v) if scorer.uses_unimodal else 0.0,
+        "l_o": contrastive_loss(grid.s_o),
+        "l_kd": sum(kd_pair_loss(p.plan, p.logits) for ps in pairs.values() for p in ps),
+    }
+
+
+class TestBatchObjectiveOracle:
     def test_matches_naive_composition_ot(
         self, tiny_dataset, repeated_golds_dataset, mixed_lengths_dataset, tiny_table
     ):
-        run = _training_run(None, "ot")
         # At d=16 a fused score summed as a matrix product drifts in the
         # last bits from the dot products ranking takes.
         wide = FixtureSpec(
             seed=17, d=16, n_entities=4, n_mentions=4, text_len=4, visual_len=4,
             noise_sigma=0.3,
         )
-        for dataset, table in (
+        cases = (
             (tiny_dataset, tiny_table),
             (repeated_golds_dataset, tiny_table),
             (mixed_lengths_dataset, tiny_table),
             (make_dataset(wide)[0], default_projections(16, seed=17, scale=2.0)),
-        ):
-            mentions, golds = batch_of(dataset)
-            state = _BatchObjective(mentions, golds, table, run)
-            naive = total_matching_loss(
-                batch_scores(mentions, golds, Scorer(table, run))
+        )
+        for (dataset, table), pool, ablation in itertools.product(cases, POOLS, ABLATIONS):
+            run = _training_run(
+                RunConfig(tol=TRAINING_TOL, pool=pool, ablations=frozenset(ablation)), "ot"
             )
-            assert state.row(table).total == naive
+            mentions, golds = batch_of(dataset)
+            row = _BatchObjective(mentions, golds, table, run).row(table)
+            expected = composed_losses(mentions, golds, table, run)
+            for key, value in expected.items():
+                assert getattr(row, key) == value, (key, pool, ablation)
+            l_o, l_f, l_t, l_v = (expected[k] for k in ("l_o", "l_f", "l_t", "l_v"))
+            assert row.total == l_o + l_f + l_t + l_v
 
     def test_matches_naive_composition_kd(
         self, tiny_dataset, repeated_golds_dataset, mixed_lengths_dataset, tiny_table
     ):
-        run = _training_run(None, "kd")
-        for dataset in (tiny_dataset, repeated_golds_dataset, mixed_lengths_dataset):
+        datasets = (tiny_dataset, repeated_golds_dataset, mixed_lengths_dataset)
+        for dataset, pool, ablation in itertools.product(datasets, POOLS, ABLATIONS):
+            run = _training_run(
+                RunConfig(tol=TRAINING_TOL, pool=pool, ablations=frozenset(ablation)), "kd"
+            )
             mentions, golds = batch_of(dataset)
             state = _BatchObjective(mentions, golds, tiny_table, run, PIPELINE_SITES)
-            pairs = distill_pairs(mentions, golds, tiny_table, run)
-            naive = total_loss_with_kd(
-                batch_scores(mentions, golds, Scorer(tiny_table, run)),
-                [p for site_pairs in pairs.values() for p in site_pairs],
-            )
-            assert state.row(tiny_table).total == pytest.approx(naive, abs=1e-12)
+            row = state.row(tiny_table)
+            expected = composed_losses(mentions, golds, tiny_table, run, PIPELINE_SITES)
+            for key, value in expected.items():
+                assert getattr(row, key) == pytest.approx(value, abs=1e-12), (
+                    key, pool, ablation,
+                )
+            assert row.total == pytest.approx(sum(expected.values()), abs=1e-12)
 
     def test_override_with_same_projections_is_identity(self, tiny_dataset, tiny_table):
         run = _training_run(None, "kd")
