@@ -8,6 +8,9 @@ uniform marginals, so no single source element can soak up more than its
 share of mass. Projection, cost and both mechanisms accept leading stack
 axes: a ``(B, n, d)`` destination holds B independent problems, computed
 together and each equal, bit for bit, to computing it alone.
+:data:`SITE_LEGS` is where each site's geometry is declared: which
+record's sequence it moves onto which. Fusion, scoring and distillation
+all read it there.
 """
 
 from __future__ import annotations
@@ -67,6 +70,20 @@ REVERSE_UNIMODAL_SITES = (
     AssignmentSite.ENTITY_TO_MENTION_VISUAL,
 )
 PIPELINE_SITES = CROSS_MODAL_SITES + UNIMODAL_SITES
+
+# Each site's (destination record, destination attribute, source record,
+# source attribute): the source sequence is moved onto the destination's
+# positions. Mention-to-entity sites let the entity query the mention.
+SITE_LEGS = {
+    AssignmentSite.MENTION_VISUAL_TO_TEXT: ("mention", "text", "mention", "visual"),
+    AssignmentSite.MENTION_TEXT_TO_VISUAL: ("mention", "visual", "mention", "text"),
+    AssignmentSite.ENTITY_VISUAL_TO_TEXT: ("entity", "text", "entity", "visual"),
+    AssignmentSite.ENTITY_TEXT_TO_VISUAL: ("entity", "visual", "entity", "text"),
+    AssignmentSite.MENTION_TO_ENTITY_TEXT: ("entity", "text", "mention", "text"),
+    AssignmentSite.MENTION_TO_ENTITY_VISUAL: ("entity", "visual", "mention", "visual"),
+    AssignmentSite.ENTITY_TO_MENTION_TEXT: ("mention", "text", "entity", "text"),
+    AssignmentSite.ENTITY_TO_MENTION_VISUAL: ("mention", "visual", "entity", "visual"),
+}
 
 ProjectionTable = dict[AssignmentSite, ProjectionSet]
 
@@ -277,15 +294,8 @@ def record_sites(
     record: MentionRecord | EntityRecord,
 ) -> tuple[AssignmentSite, AssignmentSite]:
     """The (v2t, t2v) cross-modal sites owned by this record kind."""
-    if isinstance(record, MentionRecord):
-        return (
-            AssignmentSite.MENTION_VISUAL_TO_TEXT,
-            AssignmentSite.MENTION_TEXT_TO_VISUAL,
-        )
-    return (
-        AssignmentSite.ENTITY_VISUAL_TO_TEXT,
-        AssignmentSite.ENTITY_TEXT_TO_VISUAL,
-    )
+    kind = "mention" if isinstance(record, MentionRecord) else "entity"
+    return tuple(s for s in CROSS_MODAL_SITES if SITE_LEGS[s][0] == kind)
 
 
 def interact_record(
@@ -295,7 +305,9 @@ def interact_record(
     config: SinkhornConfig = SinkhornConfig(),
 ) -> RecordInteraction:
     """Run the cross-modal assignment in both directions for one record."""
-    v2t_site, t2v_site = record_sites(record)
-    v2t = assign(record.text, record.visual, table[v2t_site], mechanism, config)
-    t2v = assign(record.visual, record.text, table[t2v_site], mechanism, config)
-    return RecordInteraction(v2t=v2t, t2v=t2v)
+    directions = []
+    for site in record_sites(record):
+        _, dst, _, src = SITE_LEGS[site]
+        rows = getattr(record, dst), getattr(record, src)
+        directions.append(assign(*rows, table[site], mechanism, config))
+    return RecordInteraction(*directions)

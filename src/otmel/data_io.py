@@ -27,10 +27,6 @@ from .errors import (
     UnsupportedVersionError,
 )
 from .types import (
-    ENTITY_TEXT,
-    ENTITY_VISUAL,
-    MENTION_TEXT,
-    MENTION_VISUAL,
     EntityRecord,
     FeatureMatrix,
     MentionRecord,
@@ -55,7 +51,7 @@ def write_feature_file(matrix: FeatureMatrix, path) -> None:
     Path(path).write_bytes(header + payload)
 
 
-def read_feature_file(path, role: str = "generic") -> FeatureMatrix:
+def read_feature_file(path) -> FeatureMatrix:
     """Read a feature file, widening the payload to float64."""
     blob = Path(path).read_bytes()
     if len(blob) < _HEADER.size:
@@ -77,7 +73,7 @@ def read_feature_file(path, role: str = "generic") -> FeatureMatrix:
     data = values.astype(np.float64).reshape(rows, cols)
     if not np.isfinite(data).all():
         raise NonFinitePayloadError(f"{path}: payload contains non-finite values")
-    return FeatureMatrix(data, role=role)
+    return FeatureMatrix(data)
 
 
 @dataclass(frozen=True)
@@ -110,20 +106,20 @@ def _manifest_field(doc: dict, key: str, path):
         raise ParseError(f"{path}: manifest is missing required key {key!r}") from None
 
 
-def _read_named(path: Path, role: str = "generic") -> FeatureMatrix:
+def _read_named(path: Path) -> FeatureMatrix:
     """Read a feature file that a manifest or index names; unreadable is a DataError."""
     try:
-        return read_feature_file(path, role=role)
+        return read_feature_file(path)
     except OSError as exc:
         raise DataError(f"{path}: named file cannot be read ({exc.strerror})") from exc
 
 
-def _load_record_matrices(base: Path, item: dict, roles, path):
+def _load_record_matrices(base: Path, item: dict, path):
     for key in ("id", "text_path", "visual_path"):
         if key not in item:
             raise ParseError(f"{path}: record entry is missing {key!r}")
-    text = _read_named(base / item["text_path"], roles[0])
-    visual = _read_named(base / item["visual_path"], roles[1])
+    text = _read_named(base / item["text_path"])
+    visual = _read_named(base / item["visual_path"])
     return item["id"], text, visual
 
 
@@ -152,9 +148,7 @@ def load_manifest(path) -> Dataset:
     entities = []
     seen_ids: set[str] = set()
     for item in _manifest_field(doc, "entities", path):
-        rid, text, visual = _load_record_matrices(
-            base, item, (ENTITY_TEXT, ENTITY_VISUAL), path
-        )
+        rid, text, visual = _load_record_matrices(base, item, path)
         if rid in seen_ids:
             raise DataError(f"duplicate entity id {rid!r}")
         seen_ids.add(rid)
@@ -163,9 +157,7 @@ def load_manifest(path) -> Dataset:
     mentions = []
     mention_ids: set[str] = set()
     for item in _manifest_field(doc, "mentions", path):
-        rid, text, visual = _load_record_matrices(
-            base, item, (MENTION_TEXT, MENTION_VISUAL), path
-        )
+        rid, text, visual = _load_record_matrices(base, item, path)
         if rid in mention_ids:
             raise DataError(f"duplicate mention id {rid!r}")
         mention_ids.add(rid)

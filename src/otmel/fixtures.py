@@ -23,15 +23,7 @@ import numpy as np
 
 from .data_io import Dataset, write_feature_file
 from .errors import ConfigError, ParseError
-from .types import (
-    ENTITY_TEXT,
-    ENTITY_VISUAL,
-    MENTION_TEXT,
-    MENTION_VISUAL,
-    EntityRecord,
-    FeatureMatrix,
-    MentionRecord,
-)
+from .types import EntityRecord, FeatureMatrix, MentionRecord
 
 TRUTH_FILENAME = "truth.json"
 MANIFEST_FILENAME = "manifest.json"
@@ -194,8 +186,8 @@ def make_dataset(spec: FixtureSpec) -> tuple[Dataset, dict[str, dict[int, int]]]
         entities.append(
             EntityRecord(
                 id=rid,
-                text=FeatureMatrix(text, role=ENTITY_TEXT),
-                visual=FeatureMatrix(visual, role=ENTITY_VISUAL),
+                text=FeatureMatrix(text),
+                visual=FeatureMatrix(visual),
             )
         )
 
@@ -208,8 +200,8 @@ def make_dataset(spec: FixtureSpec) -> tuple[Dataset, dict[str, dict[int, int]]]
         mentions.append(
             MentionRecord(
                 id=rid,
-                text=FeatureMatrix(text, role=MENTION_TEXT),
-                visual=FeatureMatrix(visual, role=MENTION_VISUAL),
+                text=FeatureMatrix(text),
+                visual=FeatureMatrix(visual),
                 gold_entity=f"e{gold:04d}",
             )
         )

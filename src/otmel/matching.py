@@ -26,7 +26,8 @@ from .config import (
     RunConfig,
 )
 from .correlation import (
-    AssignmentSite,
+    SITE_LEGS,
+    UNIMODAL_SITES,
     ProjectionTable,
     RecordInteraction,
     assign,
@@ -40,11 +41,6 @@ from .types import EntityRecord, FeatureMatrix, MatchScores, MentionRecord
 
 PoolMember = Union[FeatureMatrix, np.ndarray]
 
-# Entity-side unimodal sites and the record attribute each one compares.
-_UNIMODAL = (
-    (AssignmentSite.MENTION_TO_ENTITY_TEXT, "text"),
-    (AssignmentSite.MENTION_TO_ENTITY_VISUAL, "visual"),
-)
 # Records per stacked block, so no temporary grows with the catalog.
 _BLOCK = 32
 
@@ -289,14 +285,13 @@ class Scorer:
                 groups.setdefault(key, {})[id(r)] = r
         for group in groups.values():
             group = list(group.values())
-            v2t_proj, t2v_proj = (self.projections[s] for s in record_sites(group[0]))
+            sites = record_sites(group[0])
             (n_t, d), n_v = group[0].text.data.shape, group[0].visual.rows
             for chunk in _chunks(group, _BLOCK * max(1, d // max(n_t, n_v))):
                 blocks = _chunks(chunk, _BLOCK)
                 # Each direction is pooled as soon as it is solved, so the
                 # two directions' temporaries are never all alive at once.
-                text = self._pool_transported(blocks, "text", "visual", v2t_proj)
-                visual = self._pool_transported(blocks, "visual", "text", t2v_proj)
+                text, visual = (self._pool_transported(blocks, s) for s in sites)
                 # Rows of a moved-axis view restack about twice as slowly.
                 per_record = (
                     x if x.ndim == 2 else np.moveaxis(x, -2, 0) for x in (text, visual)
@@ -304,13 +299,15 @@ class Scorer:
                 for r, pair in zip(chunk, zip(*per_record)):
                     self._pooled[id(r)] = (r, pair)
 
-    def _pool_transported(self, blocks, dst: str, src: str, proj) -> np.ndarray:
-        """Each record's ``dst`` rows pooled with its ``src`` rows moved onto them.
+    def _pool_transported(self, blocks, site) -> np.ndarray:
+        """Each record's destination rows pooled with the source rows moved onto them.
 
         ``blocks`` are lists of records of one shape. Their assignments are
         one solve; the rest is done one block at a time, so only the
         solve's cost stack spans the blocks.
         """
+        _, dst, _, src = SITE_LEGS[site]
+        proj = self.projections[site]
 
         def rows(block, attr: str) -> np.ndarray:
             return np.array([getattr(r, attr).data for r in block])
@@ -335,20 +332,20 @@ class Scorer:
             pooled.append(stack_pool([x, g], self.config.pool))
         return np.concatenate(pooled, axis=-2)
 
-    def _entity_queries(self, entity) -> tuple[np.ndarray, np.ndarray]:
-        """The entity's text and visual rows projected to unimodal queries."""
+    def _entity_queries(self, entity, site) -> np.ndarray:
+        """The entity's rows at a unimodal site, projected to queries."""
         found = _hit(self._queries, entity)
         if found is None:
             # A unit record axis, on which a block of entities is joined.
-            found = tuple(
-                _fitted(getattr(entity, attr), self.projections[site])[None]
-                @ self.projections[site].w_q
-                for site, attr in _UNIMODAL
-            )
+            found = {
+                s: _fitted(getattr(entity, SITE_LEGS[s][1]), self.projections[s])[None]
+                @ self.projections[s].w_q
+                for s in UNIMODAL_SITES
+            }
             self._queries[id(entity)] = (entity, found)
-        return found
+        return found[site]
 
-    def _unimodal(self, mentions, entities, which: int) -> np.ndarray:
+    def _unimodal(self, mentions, entities, site) -> np.ndarray:
         """One unimodal site's scores of every mention against every entity.
 
         Entities are grouped by sequence length, then blocked by
@@ -359,15 +356,15 @@ class Scorer:
         pooled in slices that each stay within that bound too. Groups are
         never padded, since padding would change the uniform marginals.
         """
-        site, attr = _UNIMODAL[which]
+        _, e_attr, _, m_attr = SITE_LEGS[site]
         proj = self.projections[site]
-        sides = [getattr(m, attr) for m in mentions]
-        entity_sides = [getattr(e, attr) for e in entities]
+        sides = [getattr(m, m_attr) for m in mentions]
+        entity_sides = [getattr(e, e_attr) for e in entities]
         blocks = [b for rows in _by_rows(entity_sides) for b in _chunks(rows, _BLOCK)]
         groups = _by_rows(sides)
         grid, values = (len(mentions), len(entities)), None
         for block in blocks:
-            queries = [self._entity_queries(entities[j])[which] for j in block]
+            queries = [self._entity_queries(entities[j], site) for j in block]
             # Probe axes lead; the chunk's mention axis goes before the block's.
             q = np.concatenate(queries, axis=-3)[..., None, :, :, :]
             t_e = np.array([entity_sides[j].summary for j in block])
@@ -419,8 +416,7 @@ class Scorer:
             s_f = _rowdot(m_text, e_text) + _rowdot(m_vis, e_vis)
             parts.append(s_f)
         if self.uses_unimodal:
-            s_t = self._unimodal(mentions, entities, 0)
-            s_v = self._unimodal(mentions, entities, 1)
+            s_t, s_v = (self._unimodal(mentions, entities, s) for s in UNIMODAL_SITES)
             parts.extend([s_t, s_v])
         return CatalogScores(s_f, s_t, s_v, sum(parts) / len(parts))
 

@@ -27,6 +27,7 @@ from .correlation import (
     OT,
     PIPELINE_SITES,
     REVERSE_UNIMODAL_SITES,
+    SITE_LEGS,
     AssignmentSite,
     ProjectionTable,
     assign,
@@ -110,20 +111,6 @@ def kd_pair_loss(plan: np.ndarray, logits: np.ndarray) -> float | np.ndarray:
 
 # --- distillation bookkeeping -------------------------------------------
 
-_CROSS_LEGS = {
-    AssignmentSite.MENTION_VISUAL_TO_TEXT: ("mention", "text", "visual"),
-    AssignmentSite.MENTION_TEXT_TO_VISUAL: ("mention", "visual", "text"),
-    AssignmentSite.ENTITY_VISUAL_TO_TEXT: ("entity", "text", "visual"),
-    AssignmentSite.ENTITY_TEXT_TO_VISUAL: ("entity", "visual", "text"),
-}
-_PAIR_LEGS = {
-    AssignmentSite.MENTION_TO_ENTITY_TEXT: ("text", False),
-    AssignmentSite.MENTION_TO_ENTITY_VISUAL: ("visual", False),
-    AssignmentSite.ENTITY_TO_MENTION_TEXT: ("text", True),
-    AssignmentSite.ENTITY_TO_MENTION_VISUAL: ("visual", True),
-}
-
-
 def _unique_by_identity(records):
     return list({id(r): r for r in records}.values())
 
@@ -133,25 +120,22 @@ def distill_instances(
 ) -> dict[AssignmentSite, list[tuple[FeatureMatrix, FeatureMatrix]]]:
     """The (destination, source) matrix pairs distilled at each site.
 
-    Cross-modal sites contribute one instance per record; unimodal sites
-    one per mention/gold pair (reverse sites swap the roles).
+    Cross-modal sites contribute one instance per record (each distinct
+    gold once); unimodal sites one per mention/gold pair.
     """
     entities = _unique_by_identity(golds)
     instances: dict[AssignmentSite, list[tuple[FeatureMatrix, FeatureMatrix]]] = {}
     for site in sites:
-        if site in _CROSS_LEGS:
-            kind, dst_attr, src_attr = _CROSS_LEGS[site]
-            records = mentions if kind == "mention" else entities
-            instances[site] = [
-                (getattr(r, dst_attr), getattr(r, src_attr)) for r in records
-            ]
+        dst_kind, dst, src_kind, src = SITE_LEGS[site]
+        # Each leg's (destination record, source record).
+        if dst_kind == src_kind:
+            records = mentions if dst_kind == "mention" else entities
+            legs = zip(records, records)
+        elif dst_kind == "mention":
+            legs = zip(mentions, golds)
         else:
-            attr, reverse = _PAIR_LEGS[site]
-            pairs = []
-            for m, e in zip(mentions, golds):
-                m_mat, e_mat = getattr(m, attr), getattr(e, attr)
-                pairs.append((m_mat, e_mat) if reverse else (e_mat, m_mat))
-            instances[site] = pairs
+            legs = zip(golds, mentions)
+        instances[site] = [(getattr(d, dst), getattr(s, src)) for d, s in legs]
     return instances
 
 

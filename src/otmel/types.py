@@ -13,13 +13,6 @@ import numpy as np
 
 from .errors import DimensionError, NonFiniteError
 
-# Conventional roles of a feature matrix inside a record.
-MENTION_TEXT = "mention-text"
-MENTION_VISUAL = "mention-visual"
-ENTITY_TEXT = "entity-text"
-ENTITY_VISUAL = "entity-visual"
-
-
 def freeze_array(values, dtype=np.float64) -> np.ndarray:
     """Copy ``values`` into a C-contiguous read-only array."""
     arr = np.array(values, dtype=dtype, order="C")
@@ -38,7 +31,6 @@ class FeatureMatrix:
     """
 
     data: np.ndarray
-    role: str = "generic"
 
     def __post_init__(self):
         arr = freeze_array(self.data)
@@ -136,10 +128,6 @@ class MatchScores:
     s_t: float
     s_v: float
     s_o: float
-
-    @classmethod
-    def collect(cls, s_f: float, s_t: float, s_v: float) -> "MatchScores":
-        return cls(s_f, s_t, s_v, (s_f + s_t + s_v) / 3.0)
 
 
 @dataclass(frozen=True)

@@ -170,7 +170,7 @@ class TestLink:
         assert one == four
 
     def test_missing_gold_exit_5(self, capsys, tmp_path, fixture_manifest):
-        doc = json.loads(open(fixture_manifest).read())
+        doc = json.loads(Path(fixture_manifest).read_text())
         for m in doc["mentions"]:
             del m["gold_entity"]
         stripped = tmp_path / "fix" / "nogold.json"
@@ -468,7 +468,7 @@ class TestInputErrors:
         assert "nonexist.json" in err
 
     def test_manifest_naming_a_missing_file_exit_5(self, capsys, fixture_manifest):
-        doc = json.loads(open(fixture_manifest).read())
+        doc = json.loads(Path(fixture_manifest).read_text())
         (Path(fixture_manifest).parent / doc["mentions"][0]["text_path"]).unlink()
         code, _, err = run(capsys, "link", fixture_manifest)
         assert code == 5

@@ -33,12 +33,11 @@ def f32(rng, rows, cols):
 
 class TestFeatureFileRoundTrip:
     def test_write_read_values(self, rng, tmp_path):
-        m = FeatureMatrix(f32(rng, 3, 4), role="entity-text")
+        m = FeatureMatrix(f32(rng, 3, 4))
         path = tmp_path / "m.otml"
         write_feature_file(m, path)
-        back = read_feature_file(path, role="entity-text")
+        back = read_feature_file(path)
         np.testing.assert_array_equal(back.data, m.data)
-        assert back.role == "entity-text"
         assert back.data.dtype == np.float64
 
     def test_write_read_write_is_byte_identical(self, rng, tmp_path):
@@ -139,7 +138,6 @@ class TestManifest:
         assert (len(ds.entities), len(ds.mentions)) == (2, 1)
         assert ds.d == 6
         assert ds.gold_of(ds.mentions[0]).id == "e1"
-        assert ds.mentions[0].text.role == "mention-text"
 
     def test_unresolved_gold_names_both_ids(self, rng, tmp_path):
         path, _ = write_manifest_tree(tmp_path, rng, gold="missing")

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otmel.config import RunConfig
-from otmel.correlation import PIPELINE_SITES, AssignmentSite, default_projections
+from otmel.correlation import (
+    PIPELINE_SITES,
+    AssignmentSite,
+    default_projections,
+    interact_record,
+    ot_assign,
+)
 from otmel.data_io import Dataset
 from otmel.errors import ConfigError, DimensionError, NonFiniteError
 from otmel.fixtures import FixtureSpec, make_dataset
@@ -476,6 +482,53 @@ class TestFdGradient:
             for coord in top:
                 a, b = full[coord], halved[coord]
                 assert abs(a - b) / max(abs(a), abs(b)) < 0.05
+
+
+class TestDistillLegsAreScoringAssignments:
+    def test_teacher_plans_equal_scoring_plans(self, mixed_lengths_dataset, tiny_table):
+        # Text and visual lengths differ, so a leg with its destination and
+        # source swapped, or read from the wrong modality, changes shape.
+        run = RunConfig(tol=1e-9)
+        solver = run.sinkhorn_config()
+        mentions, golds = batch_of(mixed_lengths_dataset)
+        entities = list({id(g): g for g in golds}.values())
+        S = AssignmentSite
+
+        def fused(records, direction):
+            return [
+                getattr(interact_record(r, tiny_table, "ot", solver), direction).a
+                for r in records
+            ]
+
+        def unimodal(site, attr, reverse=False):
+            # As unimodal_score assigns: the gold queries the mention.
+            plans = []
+            for m, g in zip(mentions, golds):
+                dst, src = getattr(g, attr), getattr(m, attr)
+                if reverse:
+                    dst, src = src, dst
+                plans.append(ot_assign(dst, src, tiny_table[site], solver).a)
+            return plans
+
+        expected = {
+            S.MENTION_VISUAL_TO_TEXT: fused(mentions, "v2t"),
+            S.MENTION_TEXT_TO_VISUAL: fused(mentions, "t2v"),
+            S.ENTITY_VISUAL_TO_TEXT: fused(entities, "v2t"),
+            S.ENTITY_TEXT_TO_VISUAL: fused(entities, "t2v"),
+            S.MENTION_TO_ENTITY_TEXT: unimodal(S.MENTION_TO_ENTITY_TEXT, "text"),
+            S.MENTION_TO_ENTITY_VISUAL: unimodal(S.MENTION_TO_ENTITY_VISUAL, "visual"),
+            S.ENTITY_TO_MENTION_TEXT: unimodal(S.ENTITY_TO_MENTION_TEXT, "text", True),
+            S.ENTITY_TO_MENTION_VISUAL: unimodal(
+                S.ENTITY_TO_MENTION_VISUAL, "visual", True
+            ),
+        }
+        pairs = distill_pairs(mentions, golds, tiny_table, run, tuple(S))
+        assert list(pairs) == list(S)
+        for site, plans in expected.items():
+            assert len(pairs[site]) == len(plans), site
+            for pair, plan in zip(pairs[site], plans):
+                assert pair.plan.shape == plan.shape, site
+                assert np.array_equal(pair.plan, plan), site
 
 
 class TestDistillGap:

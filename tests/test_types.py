@@ -5,7 +5,6 @@ from otmel.errors import DimensionError, NonFiniteError
 from otmel.types import (
     EntityRecord,
     FeatureMatrix,
-    MatchScores,
     MentionRecord,
     ProjectionSet,
     validate_record,
@@ -14,7 +13,7 @@ from otmel.types import (
 
 class TestFeatureMatrix:
     def test_shape_and_summary(self, rng):
-        m = FeatureMatrix(rng.standard_normal((3, 4)), role="mention-text")
+        m = FeatureMatrix(rng.standard_normal((3, 4)))
         assert (m.rows, m.cols) == (3, 4)
         np.testing.assert_array_equal(m.summary, m.data[0])
 
@@ -66,18 +65,6 @@ class TestProjectionSet:
         assert q.site == "s"
         np.testing.assert_array_equal(q.w_q, np.eye(3))
         np.testing.assert_array_equal(q.w_k, 2 * np.eye(3))
-
-
-class TestMatchScores:
-    def test_collect_mean(self):
-        s = MatchScores.collect(0.3, 0.6, 0.9)
-        assert s.s_o == pytest.approx(0.6, abs=1e-12)
-
-    def test_mean_identity_random(self, rng):
-        for _ in range(100):
-            f, t, v = rng.standard_normal(3) * 10
-            s = MatchScores.collect(f, t, v)
-            assert abs(s.s_o - (s.s_f + s.s_t + s.s_v) / 3) < 1e-9
 
 
 def _record(text, visual):
