@@ -376,11 +376,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out_dir")
     p.set_defaults(func=cmd_gen_fixtures)
 
-    p = sub.add_parser("train-toy", help="finite-difference training run")
+    p = sub.add_parser("train-toy", help="gradient-descent training run")
     p.add_argument("manifest")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--lr", type=float, default=ToyTrainConfig.lr)
-    p.add_argument("--fd-step", type=float, default=ToyTrainConfig.fd_step)
+    p.add_argument(
+        "--fd-step",
+        type=float,
+        default=ToyTrainConfig.fd_step,
+        help="central-difference step; read by --objective ot only, "
+        "since kd trains on its exact gradient",
+    )
     p.add_argument("--objective", choices=OBJECTIVES, default=ToyTrainConfig.objective)
     p.add_argument("--proj", help="initial projections (default: identity)")
     p.add_argument("--save-proj", help="directory for the trained projections")

@@ -221,10 +221,10 @@ class Scorer:
     """Scores a mention against a catalog of entities under one configuration.
 
     Per-record work is cached by record object: each record's pooled
-    vectors, and each entity's projected unimodal queries. Each entry
-    keeps its record alive until :meth:`clear` and is used only for that
-    same object, so a recycled ``id()`` never returns another record's
-    result.
+    vectors, and the projected unimodal queries of the last catalog
+    scored, block by block. Each entry keeps its records alive until
+    :meth:`clear` and is used only for those same objects, so a recycled
+    ``id()`` never returns another record's result.
     :meth:`score_grid` is the one scoring core: it scores a block of
     mentions against a whole catalog in stacked array operations, solving
     many pairs' transport problems in one stack. Every score equals, bit
@@ -243,7 +243,7 @@ class Scorer:
         self.config = config
         self._solver_config = config.sinkhorn_config()
         self._pooled: dict[int, tuple[object, tuple[np.ndarray, np.ndarray]]] = {}
-        self._queries: dict[int, tuple[object, tuple[np.ndarray, np.ndarray]]] = {}
+        self._queries: dict[object, dict[tuple, tuple[tuple, np.ndarray]]] = {}
 
     @property
     def uses_fused(self) -> bool:
@@ -332,18 +332,30 @@ class Scorer:
             pooled.append(stack_pool([x, g], self.config.pool))
         return np.concatenate(pooled, axis=-2)
 
-    def _entity_queries(self, entity, site) -> np.ndarray:
-        """The entity's rows at a unimodal site, projected to queries."""
-        found = _hit(self._queries, entity)
-        if found is None:
-            # A unit record axis, on which a block of entities is joined.
-            found = {
-                s: _fitted(getattr(entity, SITE_LEGS[s][1]), self.projections[s])[None]
-                @ self.projections[s].w_q
-                for s in UNIMODAL_SITES
-            }
-            self._queries[id(entity)] = (entity, found)
-        return found[site]
+    def _block_queries(self, blocks, site) -> list[np.ndarray]:
+        """Each block of entities' rows at a unimodal site, projected to queries.
+
+        Each entity is projected alone and a block is joined on a record
+        axis. The stacks of the last call's blocks are kept for those very
+        entity objects, so ranking mentions one at a time against a catalog
+        builds them once, not once per mention (a fresh stack per mention
+        also costs page faults whenever the allocator maps it anew), and
+        the cache never holds more than one catalog's stacks per site.
+        """
+        proj = self.projections[site]
+        attr = SITE_LEGS[site][1]
+        previous = self._queries.get(site, {})
+        kept = self._queries[site] = {}
+        stacks = []
+        for block in blocks:
+            key = tuple(map(id, block))
+            entry = previous.get(key)
+            if entry is None or any(a is not b for a, b in zip(entry[0], block)):
+                rows = [_fitted(getattr(e, attr), proj)[None] @ proj.w_q for e in block]
+                entry = (tuple(block), np.concatenate(rows, axis=-3))
+            kept[key] = entry
+            stacks.append(entry[1])
+        return stacks
 
     def _unimodal(self, mentions, entities, site) -> np.ndarray:
         """One unimodal site's scores of every mention against every entity.
@@ -363,10 +375,10 @@ class Scorer:
         blocks = [b for rows in _by_rows(entity_sides) for b in _chunks(rows, _BLOCK)]
         groups = _by_rows(sides)
         grid, values = (len(mentions), len(entities)), None
-        for block in blocks:
-            queries = [self._entity_queries(entities[j], site) for j in block]
+        members = [[entities[j] for j in block] for block in blocks]
+        for block, queries in zip(blocks, self._block_queries(members, site)):
             # Probe axes lead; the chunk's mention axis goes before the block's.
-            q = np.concatenate(queries, axis=-3)[..., None, :, :, :]
+            q = queries[..., None, :, :, :]
             t_e = np.array([entity_sides[j].summary for j in block])
             step = max(1, _BLOCK // len(block))
             for group in groups:

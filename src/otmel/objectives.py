@@ -1,18 +1,22 @@
-"""Training objectives and a desk-scale finite-difference trainer.
+"""Training objectives and a desk-scale gradient-descent trainer.
 
 The contrastive losses treat each batch's score matrices as softmax
 classification problems with the gold pair on the diagonal. Distillation
 compares a transport plan (teacher, held constant) against attention
 logits (student) through row- and column-wise KL divergences. The toy
-trainer descends these objectives over the projection tables with central
-finite differences; it is meant for small synthetic datasets only and
-guards its input sizes accordingly. Its batch objective holds what a step
-keeps fixed (the batch, and the teacher plans) and scores the batch under
-the table it is given with :meth:`~otmel.matching.Scorer.score_grid`, the
-scoring core ranking uses; of its own it keeps only the distillation term.
-All probes of one projection matrix go in as one stack of perturbed
-copies, which passes through scoring and the losses as one more leading
-axis.
+trainer descends these objectives over the projection tables; it is meant
+for small synthetic datasets only and guards its input sizes accordingly.
+Its batch objective holds what a step keeps fixed (the batch, and the
+teacher plans) and scores the batch under the table it is given with
+:meth:`~otmel.matching.Scorer.score_grid`, the scoring core ranking uses;
+of its own it keeps only the distillation term.
+The ``kd`` objective scores with attention, so with the teachers held it
+is differentiated exactly, by one hand-written reverse pass over the
+batch. The ``ot`` objective, whose assignments are Sinkhorn solves, is
+descended by central finite differences: all probes of one projection
+matrix go in as one stack of perturbed copies, which passes through
+scoring and the losses as one more leading axis. The same differences,
+as :func:`fd_gradient`, check the reverse pass.
 """
 
 from __future__ import annotations
@@ -21,19 +25,22 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import RunConfig
+from .config import POOL_MAX, POOL_MEAN, RunConfig
 from .correlation import (
     ATTENTION,
     OT,
     PIPELINE_SITES,
     REVERSE_UNIMODAL_SITES,
     SITE_LEGS,
+    UNIMODAL_SITES,
     AssignmentSite,
     ProjectionTable,
     assign,
     attention_logits,
     cosine_cost,
     project,
+    record_sites,
+    row_softmax,
 )
 from .data_io import Dataset
 from .errors import ConfigError, DataError, DimensionError, NonFiniteError
@@ -113,6 +120,14 @@ def kd_pair_loss(plan: np.ndarray, logits: np.ndarray) -> float | np.ndarray:
 
 def _unique_by_identity(records):
     return list({id(r): r for r in records}.values())
+
+
+def _groups(keys) -> list[list[int]]:
+    """Indices of ``keys`` grouped by equal key, in first-seen order."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
 
 
 def distill_instances(
@@ -199,7 +214,12 @@ _MATRIX_NAMES = ("w_q", "w_k", "w_h")
 
 @dataclass(frozen=True)
 class ToyTrainConfig:
-    """Settings for the finite-difference trainer."""
+    """Settings for the toy trainer.
+
+    ``fd_step`` is the central-difference step of the ``ot`` objective's
+    gradient and of :func:`fd_gradient`; the ``kd`` objective trains on
+    its exact gradient and does not read it.
+    """
 
     steps: int
     lr: float = 1e-2
@@ -210,8 +230,8 @@ class ToyTrainConfig:
     def __post_init__(self):
         if self.steps < 0:
             raise ConfigError(f"steps must be >= 0, got {self.steps}")
-        if self.lr < 0:
-            raise ConfigError(f"lr must be >= 0, got {self.lr}")
+        if not 0 <= self.lr < np.inf:
+            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
         if not self.fd_step > 0:
             raise ConfigError(f"fd_step must be positive, got {self.fd_step}")
         if self.objective not in OBJECTIVES:
@@ -251,10 +271,10 @@ class _BatchObjective:
     distillation term a pure student-side objective within a step.
     :meth:`row` reads the matching losses from the gold columns of one
     :meth:`~otmel.matching.Scorer.score_grid` under the table it is given,
-    and the distillation term from the students' logits; a site whose
-    entry is still the starting one keeps its starting term. Leading probe
+    and the distillation term from the students' logits. Leading probe
     axes on a table entry's matrices give a row of arrays over them, each
     entry equal, bit for bit, to the row under that probe alone.
+    :meth:`gradient` differentiates the row's total under attention.
     """
 
     def __init__(self, mentions, golds, table, run: RunConfig, kd_sites=()):
@@ -269,23 +289,16 @@ class _BatchObjective:
         solver = run.sinkhorn_config()
         self._teachers = {}
         for site, legs in distill_instances(self.mentions, golds, self.kd_sites).items():
-            by_shape: dict[tuple, list[int]] = {}
-            for k, (dst, src) in enumerate(legs):
-                by_shape.setdefault((dst.data.shape, src.data.shape), []).append(k)
+            by_shape = _groups([(dst.data.shape, src.data.shape) for dst, src in legs])
             groups = []
-            for ks in by_shape.values():
+            for ks in by_shape:
                 dst = np.stack([legs[k][0].data for k in ks])
                 src = np.stack([legs[k][1].data for k in ks])
                 teachers = assign(dst, src, table[site], OT, solver).a
                 groups.append((dst, src, teachers))
             # The order that takes the groups' concatenated legs back to leg order.
-            order = np.argsort(np.concatenate(list(by_shape.values())))
+            order = np.argsort(np.concatenate(by_shape))
             self._teachers[site] = (groups, order)
-        # A step probes one site at a time, so the other sites keep their
-        # starting entries, and with them their starting kd terms.
-        self._kd_at_start = {
-            site: (table[site], self._kd(site, table[site])) for site in self.kd_sites
-        }
 
     def _kd(self, site, proj: ProjectionSet):
         """The site's distillation term under ``proj``; its probe axes lead."""
@@ -312,8 +325,7 @@ class _BatchObjective:
         l_o = loss(grid.s_o)
         l_kd = 0.0
         for site in self.kd_sites:
-            start, kd = self._kd_at_start[site]
-            l_kd = l_kd + (kd if table[site] is start else self._kd(site, table[site]))
+            l_kd = l_kd + self._kd(site, table[site])
         return TraceRow(
             step=0,
             l_f=l_f,
@@ -323,6 +335,137 @@ class _BatchObjective:
             l_kd=l_kd,
             total=l_o + l_f + l_t + l_v + l_kd,
         )
+
+    def gradient(self, table: ProjectionTable) -> dict[AssignmentSite, dict]:
+        """The exact gradient of ``row(table).total`` under attention.
+
+        Maps each site the objective reads (the scoring sites and the
+        distilled ones) to the derivatives by its ``w_q``, ``w_k`` and
+        ``w_h``, with the teacher plans held constant. The scores come
+        from one :meth:`~otmel.matching.Scorer.score_grid`; the reverse
+        pass recomputes the assignments it needs, stacked by shape, and
+        takes the max pool's subgradient at numpy's argmax row.
+        """
+        scorer = Scorer(table, self.run)
+        grid = scorer.score_grid(self.mentions, self.entities)
+        grads = {
+            site: np.zeros((3, table[site].dim, table[site].dim))
+            for site in dict.fromkeys(PIPELINE_SITES + self.kd_sites)
+        }
+        pool = self.run.pool
+        # Each kept score's gradient: its own loss, and its share of s_o's,
+        # taken on the gold columns and scattered back onto the grid.
+        slots = self._gold_slots
+        scatter = np.eye(len(self.entities))[slots]
+        kinds = (
+            (grid.s_f, scorer.uses_fused),
+            (grid.s_t, scorer.uses_unimodal),
+            (grid.s_v, scorer.uses_unimodal),
+        )
+        d_o = _contrastive_grad(grid.s_o[:, slots]) / sum(on for _, on in kinds)
+        d_f, d_t, d_v = (
+            (_contrastive_grad(s[:, slots]) + d_o) @ scatter if on else None
+            for s, on in kinds
+        )
+        if d_f is not None:
+            # s_f is the product of mention and entity pooled vectors.
+            m = len(self.mentions)
+            records = self.mentions + self.entities
+            pooled = np.array([scorer.pooled(r) for r in records])
+            d_pooled = np.concatenate(
+                [np.tensordot(d_f, pooled[m:], 1), np.tensordot(d_f.T, pooled[:m], 1)]
+            )
+            shapes = [(type(r), r.text.data.shape, r.visual.data.shape) for r in records]
+            for group in _groups(shapes):
+                for slot, site in enumerate(record_sites(records[group[0]])):
+                    _, dst, _, src = SITE_LEGS[site]
+                    x = np.array([getattr(records[r], dst).data for r in group])
+                    y = np.array([getattr(records[r], src).data for r in group])
+                    grads[site] += _transported_grads(
+                        x, y, table[site], d_pooled[group, slot], pool, pooled_with=x
+                    )
+        if d_t is not None:
+            for site, d_s in zip(UNIMODAL_SITES, (d_t, d_v)):
+                _, e_attr, _, m_attr = SITE_LEGS[site]
+                pairs = [
+                    (getattr(e, e_attr), getattr(mention, m_attr), d_s[i, u])
+                    for i, mention in enumerate(self.mentions)
+                    for u, e in enumerate(self.entities)
+                ]
+                for group in _groups([(e.rows, x.rows) for e, x, _ in pairs]):
+                    e, x, d = zip(*(pairs[p] for p in group))
+                    # d s / d pooled is half the entity's summary row.
+                    t_e = np.array([side.summary for side in e])
+                    grads[site] += _transported_grads(
+                        np.array([side.data for side in e]),
+                        np.array([side.data for side in x]),
+                        table[site],
+                        0.5 * np.array(d)[:, None] * t_e,
+                        pool,
+                    )
+        for site in self.kd_sites:
+            proj = table[site]
+            for dst, src, teachers in self._teachers[site][0]:
+                q, k = dst @ proj.w_q, src @ proj.w_k
+                d_logits = _kd_grad(teachers, attention_logits(q, k))
+                grads[site][:2] += _logit_grads(dst, src, q, k, d_logits)
+        return {site: dict(zip(_MATRIX_NAMES, g)) for site, g in grads.items()}
+
+
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    return np.exp(_log_softmax(x, axis))
+
+
+def _contrastive_grad(scores: np.ndarray) -> np.ndarray:
+    """d :func:`contrastive_loss` / d scores of one square matrix."""
+    return (_softmax(scores, -1) - np.eye(len(scores))) / len(scores)
+
+
+def _kd_grad(plans: np.ndarray, logits: np.ndarray) -> np.ndarray:
+    """d :func:`kd_pair_loss` / d logits, one slice per stacked pair."""
+    return 0.5 * sum(_softmax(logits, a) - _softmax(plans, a) for a in (-1, -2))
+
+
+def _pool_grad(x: np.ndarray, d_out: np.ndarray, kind: str) -> np.ndarray:
+    """d loss / d x from d loss / d ``stack_pool([x], kind)``, over stacked x."""
+    d_out = d_out[..., None, :]
+    if kind == POOL_MEAN:
+        return np.broadcast_to(d_out / x.shape[-2], x.shape)
+    if kind == POOL_MAX:
+        top = x.argmax(axis=-2)[..., None, :]
+        return d_out * (np.arange(x.shape[-2])[:, None] == top)
+    w = _softmax(x, -2)
+    return d_out * w * (1.0 + x - (w * x).sum(axis=-2, keepdims=True))
+
+
+def _contract(x: np.ndarray, d_y: np.ndarray) -> np.ndarray:
+    """d loss / d W of ``y = x @ W`` summed over the stacked problems."""
+    return x.reshape(-1, x.shape[-1]).T @ d_y.reshape(-1, d_y.shape[-1])
+
+
+def _logit_grads(dst, src, q, k, d_logits) -> tuple[np.ndarray, np.ndarray]:
+    """d loss / d ``w_q`` and ``w_k`` from d loss / d the attention logits."""
+    d_logits = d_logits / np.sqrt(q.shape[-1])
+    return _contract(dst, d_logits @ k), _contract(src, d_logits.swapaxes(-1, -2) @ q)
+
+
+def _transported_grads(dst, src, proj, d_pooled, pool, pooled_with=None) -> np.ndarray:
+    """The three matrices' gradients through pooled transported features.
+
+    ``dst`` and ``src`` are ``(B, n, d)`` and ``(B, m, d)`` stacks of
+    attention problems; each problem's transported rows are pooled, after
+    its rows of ``pooled_with`` if given, into a vector whose gradient is
+    that problem's row of ``d_pooled``.
+    """
+    q, k, h = project(dst, src, proj)
+    a = row_softmax(attention_logits(q, k))
+    g = a @ h
+    x = g if pooled_with is None else np.concatenate([pooled_with, g], axis=-2)
+    d_g = _pool_grad(x, d_pooled, pool)[..., -g.shape[-2]:, :]
+    d_a = d_g @ h.swapaxes(-1, -2)
+    d_logits = a * (d_a - (d_a * a).sum(axis=-1, keepdims=True))
+    d_h = a.swapaxes(-1, -2) @ d_g
+    return np.array([*_logit_grads(dst, src, q, k, d_logits), _contract(src, d_h)])
 
 
 def _guard_sizes(dataset: Dataset, table: ProjectionTable) -> None:
@@ -389,6 +532,22 @@ def _every_coord(table, sites):
     ]
 
 
+def _fd_matrices(state: _BatchObjective, table, sites, h: float):
+    """Central differences at every entry of ``sites``, as matrices.
+
+    Laid out as :meth:`_BatchObjective.gradient` lays out its result.
+    """
+    grads = {
+        site: {name: np.zeros((table[site].dim,) * 2) for name in _MATRIX_NAMES}
+        for site in sites
+    }
+    for (site, name, i, j), grad in _central_differences(
+        state, table, _every_coord(table, sites), h
+    ).items():
+        grads[site][name][i, j] = grad
+    return grads
+
+
 def fd_gradient(
     dataset: Dataset,
     table: ProjectionTable,
@@ -429,12 +588,13 @@ def toy_train(
     train: ToyTrainConfig,
     run: RunConfig | None = None,
 ) -> tuple[ProjectionTable, list[TraceRow]]:
-    """Plain gradient descent on the projection tables via central differences.
+    """Plain gradient descent on the projection tables.
 
     The ``ot`` objective is the matching loss with transport-based
-    assignments; the ``kd`` objective scores with attention and adds the
-    distillation term, whose teacher plans are recomputed once per step
-    and held constant within it. Returns the trained table and one trace
+    assignments, descended by central differences; the ``kd`` objective
+    scores with attention and adds the distillation term, whose teacher
+    plans are recomputed once per step and held constant within it, and
+    descends its exact gradient. Returns the trained table and one trace
     row per step (row 0 is the starting point). Deterministic.
     """
     run = _training_run(run, train.objective)
@@ -445,16 +605,20 @@ def toy_train(
     sites = train.trainable_sites()
 
     for step in range(1, train.steps + 1):
-        grads = _central_differences(
-            state, table, _every_coord(table, sites), train.fd_step
-        )
-        mats = {
-            site: {name: getattr(table[site], name).copy() for name in _MATRIX_NAMES}
-            for site in sites
+        if train.objective == OBJECTIVE_KD:
+            grads = state.gradient(table)
+        else:
+            grads = _fd_matrices(state, table, sites, train.fd_step)
+        table = {
+            **table,
+            **{
+                site: table[site].replace(**{
+                    name: getattr(table[site], name) - train.lr * grads[site][name]
+                    for name in _MATRIX_NAMES
+                })
+                for site in sites
+            },
         }
-        for (site, name, i, j), grad in grads.items():
-            mats[site][name][i, j] -= train.lr * grad
-        table = {**table, **{site: table[site].replace(**mats[site]) for site in sites}}
         state = _objective_state(dataset, table, train, run)
         trace.append(replace(state.row(table), step=step))
 

@@ -294,6 +294,21 @@ class TestScorerCaches:
             stale += scorer.scores(mention, entity) != fresh
         assert stale == 0
 
+    def test_long_lived_scorer_ignores_recycled_catalog_ids(self, identity_table):
+        # A catalog's queries are kept for the next call; catalogs built on
+        # the fly and dropped free their ids for reuse, and a cache that
+        # trusted the ids alone would score a new catalog with old queries.
+        rng = np.random.default_rng(4)
+        mention = make_record(rng, "mention", d=8)
+        run = RunConfig(mechanism="attention")
+        scorer = Scorer(identity_table, run)
+        stale = 0
+        for _ in range(100):
+            catalog = [make_record(rng, "entity", d=8) for _ in range(3)]
+            fresh = Scorer(identity_table, run).score_all(mention, catalog)
+            stale += not np.array_equal(scorer.score_all(mention, catalog).s_o, fresh.s_o)
+        assert stale == 0
+
     @pytest.mark.parametrize("mechanism", ["ot", "attention"])
     def test_clear_keeps_scores_and_releases_records(self, rng, identity_table, mechanism):
         mention = make_record(rng, "mention", d=8)

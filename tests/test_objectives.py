@@ -4,13 +4,17 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from otmel.config import RunConfig
 from otmel.correlation import (
+    ATTENTION,
     PIPELINE_SITES,
+    SITE_LEGS,
+    UNIMODAL_SITES,
     AssignmentSite,
+    assign,
     default_projections,
     interact_record,
     ot_assign,
@@ -33,7 +37,7 @@ from otmel.objectives import (
     kd_pair_loss,
     toy_train,
 )
-from otmel.types import FeatureMatrix
+from otmel.types import EntityRecord, FeatureMatrix, MentionRecord
 
 from conftest import make_record
 
@@ -379,6 +383,74 @@ class TestStackedRow:
                 assert got == getattr(alone, field), (field, p)
 
 
+def max_pool_margin(dataset, table):
+    """The least gap between the top two rows of any column attention pools by max."""
+    mentions, golds = batch_of(dataset)
+    entities = list({id(g): g for g in golds}.values())
+    pooled = []
+    for record in [*mentions, *entities]:
+        fused = interact_record(record, table, ATTENTION)
+        pooled += [
+            np.vstack([record.text.data, fused.v2t.g]),
+            np.vstack([record.visual.data, fused.t2v.g]),
+        ]
+    for site in UNIMODAL_SITES:
+        _, e_attr, _, m_attr = SITE_LEGS[site]
+        for mention in mentions:
+            for entity in entities:
+                side = (getattr(entity, e_attr), getattr(mention, m_attr))
+                pooled.append(assign(*side, table[site], ATTENTION).g)
+    gaps = [np.diff(np.sort(x, axis=0)[-2:], axis=0) for x in pooled if len(x) > 1]
+    return min((float(g.min()) for g in gaps), default=np.inf)
+
+
+class TestAnalyticGradient:
+    """The kd objective's reverse pass agrees with central differences."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ablation=st.sampled_from([(), ("no_fusm",), ("no_unim",)]),
+        pool=st.sampled_from(["soft", "mean", "max"]),
+        reverse=st.booleans(),
+        b=st.integers(2, 5),
+        n_entities=st.integers(1, 4),
+        mixed=st.booleans(),
+    )
+    def test_matches_fd_gradient(self, seed, ablation, pool, reverse, b, n_entities, mixed):
+        rng = np.random.default_rng(seed)
+        d = 4
+
+        def sides():
+            rows = rng.integers(1, 6, size=2) if mixed else (3, 3)
+            return [FeatureMatrix(rng.standard_normal((int(n), d))) for n in rows]
+
+        entities = tuple(EntityRecord(f"e{u}", *sides()) for u in range(n_entities))
+        # Fewer entities than mentions make golds repeat.
+        mentions = tuple(
+            MentionRecord(f"m{i}", *sides(), gold_entity=f"e{rng.integers(n_entities)}")
+            for i in range(b)
+        )
+        dataset = Dataset(entities=entities, mentions=mentions, d=d)
+        table = default_projections(d, seed=seed % 1000, scale=1.5)
+        if pool == "max":
+            # Central differences straddle no switch of the max row.
+            assume(max_pool_margin(dataset, table) > 1e-3)
+        run = _training_run(
+            RunConfig(tol=TRAINING_TOL, pool=pool, ablations=frozenset(ablation)), "kd"
+        )
+        train = ToyTrainConfig(steps=0, objective="kd", include_reverse_sites=reverse)
+        state = _BatchObjective(
+            list(mentions), [dataset.gold_of(m) for m in mentions], table, run,
+            train.distilled_sites(),
+        )
+        analytic = state.gradient(table)
+        assert set(analytic) == set(train.trainable_sites())
+        for (site, name, i, j), f in fd_gradient(dataset, table, train, run).items():
+            a = analytic[site][name][i, j]
+            assert abs(a - f) <= 1e-6 * max(1.0, abs(f)), (site, name, i, j, a, f)
+
+
 class TestToyTrain:
     def test_zero_steps_unchanged(self, tiny_dataset, tiny_table):
         trained, trace = toy_train(tiny_dataset, tiny_table, ToyTrainConfig(steps=0))
@@ -389,11 +461,45 @@ class TestToyTrain:
             )
 
     def test_zero_lr_constant_trace(self, tiny_dataset, tiny_table):
-        _, trace = toy_train(
-            tiny_dataset, tiny_table, ToyTrainConfig(steps=2, lr=0.0)
-        )
-        totals = {row.total for row in trace}
-        assert len(totals) == 1
+        for objective in ("ot", "kd"):
+            trained, trace = toy_train(
+                tiny_dataset, tiny_table,
+                ToyTrainConfig(steps=2, lr=0.0, objective=objective),
+            )
+            totals = {row.total for row in trace}
+            assert len(totals) == 1, objective
+            for site in AssignmentSite:
+                for name in ("w_q", "w_k", "w_h"):
+                    got = getattr(trained[site], name).tobytes()
+                    assert got == getattr(tiny_table[site], name).tobytes(), (
+                        objective, site, name,
+                    )
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_kd_descent_matches_fd_steps(self, mixed_lengths_dataset, tiny_table, reverse):
+        """kd steps on the exact gradient track steps on ``fd_gradient``."""
+        train = ToyTrainConfig(steps=3, lr=2.0, objective="kd", include_reverse_sites=reverse)
+        trained, trace = toy_train(mixed_lengths_dataset, tiny_table, train)
+        run = _training_run(None, "kd")
+        mentions, golds = batch_of(mixed_lengths_dataset)
+        table = tiny_table
+        for step in range(train.steps + 1):
+            if step:
+                mats = {
+                    site: {n: getattr(table[site], n).copy() for n in ("w_q", "w_k", "w_h")}
+                    for site in train.trainable_sites()
+                }
+                grads = fd_gradient(mixed_lengths_dataset, table, train, run)
+                for (site, name, i, j), grad in grads.items():
+                    mats[site][name][i, j] -= train.lr * grad
+                table = {**table, **{s: table[s].replace(**m) for s, m in mats.items()}}
+            state = _BatchObjective(mentions, golds, table, run, train.distilled_sites())
+            expected = state.row(table).total
+            assert abs(trace[step].total - expected) <= 1e-7 * abs(expected), step
+        for site in AssignmentSite:
+            for name in ("w_q", "w_k", "w_h"):
+                got, want = getattr(trained[site], name), getattr(table[site], name)
+                assert (np.abs(got - want) <= 1e-7 * np.maximum(1.0, np.abs(want))).all()
 
     def test_descends_on_separable_fixture(self, tiny_dataset, tiny_table):
         _, trace = toy_train(
@@ -442,6 +548,9 @@ class TestToyTrain:
             ToyTrainConfig(steps=-1)
         with pytest.raises(ConfigError):
             ToyTrainConfig(steps=1, fd_step=0.0)
+        for lr in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                ToyTrainConfig(steps=1, lr=lr)
         with pytest.raises(ConfigError):
             ToyTrainConfig(steps=1, objective="sgd")
 
