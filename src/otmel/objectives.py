@@ -12,11 +12,13 @@ teacher plans) and scores the batch under the table it is given with
 of its own it keeps only the distillation term.
 The ``kd`` objective scores with attention, so with the teachers held it
 is differentiated exactly, by one hand-written reverse pass over the
-batch. The ``ot`` objective, whose assignments are Sinkhorn solves, is
-descended by central finite differences: all probes of one projection
-matrix go in as one stack of perturbed copies, which passes through
-scoring and the losses as one more leading axis. The same differences,
-as :func:`fd_gradient`, check the reverse pass.
+batch; a step solves all sites' teachers in one stack per leg shape, and
+scores the batch once for its trace row and its gradient. The ``ot``
+objective, whose assignments are Sinkhorn solves, is descended by
+central finite differences: all probes of one projection matrix go in as
+one stack of perturbed copies, which passes through scoring and the
+losses as one more leading axis. The same differences, as
+:func:`fd_gradient`, check the reverse pass.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .correlation import (
     UNIMODAL_SITES,
     AssignmentSite,
     ProjectionTable,
-    assign,
+    assignment_stack,
     attention_logits,
     cosine_cost,
     project,
@@ -46,7 +48,7 @@ from .data_io import Dataset
 from .errors import ConfigError, DataError, DimensionError, NonFiniteError
 from .matching import Scorer
 from .ot import Marginals, sinkhorn
-from .types import FeatureMatrix, ProjectionSet
+from .types import FeatureMatrix
 
 
 def _log_softmax(x: np.ndarray, axis: int) -> np.ndarray:
@@ -267,14 +269,14 @@ class _BatchObjective:
 
     Construction fixes what a step holds constant: the batch, and the
     teacher plans of each distilled site's legs (its assignment problems)
-    under the starting table, stacked by shape, which makes the
-    distillation term a pure student-side objective within a step.
-    :meth:`row` reads the matching losses from the gold columns of one
-    :meth:`~otmel.matching.Scorer.score_grid` under the table it is given,
-    and the distillation term from the students' logits. Leading probe
-    axes on a table entry's matrices give a row of arrays over them, each
-    entry equal, bit for bit, to the row under that probe alone.
-    :meth:`gradient` differentiates the row's total under attention.
+    under the starting table, which makes the distillation term a pure
+    student-side objective within a step. Legs are stacked by site and
+    shape into parts, and all parts of one leg shape are solved as one
+    stack. :meth:`evaluate` reads the matching losses from the gold
+    columns of one :meth:`~otmel.matching.Scorer.score_grid`, and the
+    distillation term from one :func:`kd_pair_loss` per logits shape.
+    Leading probe axes on a table entry's matrices give a row of arrays
+    over them, each equal, bit for bit, to the row under that probe alone.
     """
 
     def __init__(self, mentions, golds, table, run: RunConfig, kd_sites=()):
@@ -286,33 +288,74 @@ class _BatchObjective:
         self.entities = _unique_by_identity(golds)
         slot = {id(e): u for u, e in enumerate(self.entities)}
         self._gold_slots = [slot[id(g)] for g in golds]
-        solver = run.sinkhorn_config()
-        self._teachers = {}
+        # Each part is one site's legs of one shape: (site, leg indices, dst, src).
+        self._parts = []
+        self._order = {}
         for site, legs in distill_instances(self.mentions, golds, self.kd_sites).items():
-            by_shape = _groups([(dst.data.shape, src.data.shape) for dst, src in legs])
-            groups = []
+            by_shape = _groups([(dst.rows, src.rows) for dst, src in legs])
             for ks in by_shape:
                 dst = np.stack([legs[k][0].data for k in ks])
                 src = np.stack([legs[k][1].data for k in ks])
-                teachers = assign(dst, src, table[site], OT, solver).a
-                groups.append((dst, src, teachers))
-            # The order that takes the groups' concatenated legs back to leg order.
-            order = np.argsort(np.concatenate(by_shape))
-            self._teachers[site] = (groups, order)
+                self._parts.append((site, ks, dst, src))
+            # The order that takes the site's concatenated parts back to leg order.
+            self._order[site] = np.argsort(np.concatenate(by_shape))
+        self._teachers = [None] * len(self._parts)
+        shapes = [(dst.shape[1], src.shape[1]) for *_, dst, src in self._parts]
+        for group in _groups(shapes):
+            parts = [self._parts[p] for p in group]
+            plans = assignment_stack(
+                (project(dst, src, table[site])[:2] for site, _, dst, src in parts),
+                OT,
+                run.sinkhorn_config(),
+            )
+            cuts = np.cumsum([len(legs) for _, legs, *_ in parts])[:-1]
+            for p, plan in zip(group, np.split(plans, cuts)):
+                self._teachers[p] = plan
 
-    def _kd(self, site, proj: ProjectionSet):
-        """The site's distillation term under ``proj``; its probe axes lead."""
-        groups, order = self._teachers[site]
-        terms = []
-        for dst, src, teachers in groups:
-            logits = attention_logits(dst @ proj.w_q, src @ proj.w_k)
-            terms.append(kd_pair_loss(np.broadcast_to(teachers, logits.shape), logits))
-        # Left to right in leg order, as a loop over the legs adds.
-        kd = np.cumsum(np.concatenate(terms, axis=-1)[..., order], axis=-1)[..., -1]
-        return float(kd) if kd.ndim == 0 else kd
+    def _kd(self, table, gradient: bool):
+        """The distillation term under ``table``, probe axes leading.
 
-    def row(self, table: ProjectionTable) -> TraceRow:
-        """Every loss component under ``table``, with teachers held from the start."""
+        Also, per part, its (Q, K) and, with ``gradient``, the term's
+        gradient by its logits.
+        """
+        qk = [
+            (dst @ table[site].w_q, src @ table[site].w_k)
+            for site, _, dst, src in self._parts
+        ]
+        logits = [attention_logits(q, k) for q, k in qk]
+        terms, d_logits = [None] * len(logits), [None] * len(logits)
+        for group in _groups([x.shape[:-3] + x.shape[-2:] for x in logits]):
+            stacked = np.concatenate([logits[p] for p in group], axis=-3)
+            teachers = np.concatenate([self._teachers[p] for p in group])
+            teachers = np.broadcast_to(teachers, stacked.shape)
+            cuts = np.cumsum([logits[p].shape[-3] for p in group])[:-1]
+            losses = kd_pair_loss(teachers, stacked)
+            for p, term in zip(group, np.split(losses, cuts, axis=-1)):
+                terms[p] = term
+            if gradient:
+                d_stacked = _kd_grad(teachers, stacked)
+                for p, d in zip(group, np.split(d_stacked, cuts, axis=-3)):
+                    d_logits[p] = d
+        l_kd = 0.0
+        for site in self.kd_sites:
+            own = [term for (s, *_), term in zip(self._parts, terms) if s == site]
+            # Left to right in leg order, as a loop over the legs adds.
+            kd = np.concatenate(own, axis=-1)[..., self._order[site]]
+            kd = np.cumsum(kd, axis=-1)[..., -1]
+            l_kd = l_kd + (float(kd) if kd.ndim == 0 else kd)
+        return l_kd, list(zip(qk, d_logits))
+
+    def evaluate(self, table: ProjectionTable, gradient: bool = False):
+        """The row under ``table`` and, with ``gradient``, its total's gradient.
+
+        Teachers are held from the start, and both come from one
+        :meth:`~otmel.matching.Scorer.score_grid`. The gradient (None
+        without ``gradient``) is exact under attention. It maps each site
+        the objective reads (the scoring sites and the distilled ones) to
+        the derivatives by its ``w_q``, ``w_k`` and ``w_h``. The reverse
+        pass recomputes the assignments it needs, stacked by shape, and
+        takes the max pool's subgradient at numpy's argmax row.
+        """
         scorer = Scorer(table, self.run)
         grid = scorer.score_grid(self.mentions, self.entities)
 
@@ -323,10 +366,8 @@ class _BatchObjective:
         l_t = loss(grid.s_t, scorer.uses_unimodal)
         l_v = loss(grid.s_v, scorer.uses_unimodal)
         l_o = loss(grid.s_o)
-        l_kd = 0.0
-        for site in self.kd_sites:
-            l_kd = l_kd + self._kd(site, table[site])
-        return TraceRow(
+        l_kd, kd_backward = self._kd(table, gradient)
+        row = TraceRow(
             step=0,
             l_f=l_f,
             l_t=l_t,
@@ -335,19 +376,8 @@ class _BatchObjective:
             l_kd=l_kd,
             total=l_o + l_f + l_t + l_v + l_kd,
         )
-
-    def gradient(self, table: ProjectionTable) -> dict[AssignmentSite, dict]:
-        """The exact gradient of ``row(table).total`` under attention.
-
-        Maps each site the objective reads (the scoring sites and the
-        distilled ones) to the derivatives by its ``w_q``, ``w_k`` and
-        ``w_h``, with the teacher plans held constant. The scores come
-        from one :meth:`~otmel.matching.Scorer.score_grid`; the reverse
-        pass recomputes the assignments it needs, stacked by shape, and
-        takes the max pool's subgradient at numpy's argmax row.
-        """
-        scorer = Scorer(table, self.run)
-        grid = scorer.score_grid(self.mentions, self.entities)
+        if not gradient:
+            return row, None
         grads = {
             site: np.zeros((3, table[site].dim, table[site].dim))
             for site in dict.fromkeys(PIPELINE_SITES + self.kd_sites)
@@ -403,13 +433,17 @@ class _BatchObjective:
                         0.5 * np.array(d)[:, None] * t_e,
                         pool,
                     )
-        for site in self.kd_sites:
-            proj = table[site]
-            for dst, src, teachers in self._teachers[site][0]:
-                q, k = dst @ proj.w_q, src @ proj.w_k
-                d_logits = _kd_grad(teachers, attention_logits(q, k))
-                grads[site][:2] += _logit_grads(dst, src, q, k, d_logits)
-        return {site: dict(zip(_MATRIX_NAMES, g)) for site, g in grads.items()}
+        for (site, _, dst, src), ((q, k), d_logits) in zip(self._parts, kd_backward):
+            grads[site][:2] += _logit_grads(dst, src, q, k, d_logits)
+        return row, {site: dict(zip(_MATRIX_NAMES, g)) for site, g in grads.items()}
+
+    def row(self, table: ProjectionTable) -> TraceRow:
+        """Every loss component under ``table``, with teachers held from the start."""
+        return self.evaluate(table)[0]
+
+    def gradient(self, table: ProjectionTable) -> dict[AssignmentSite, dict]:
+        """The exact gradient of ``row(table).total`` under attention."""
+        return self.evaluate(table, gradient=True)[1]
 
 
 def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
@@ -592,23 +626,27 @@ def toy_train(
 
     The ``ot`` objective is the matching loss with transport-based
     assignments, descended by central differences; the ``kd`` objective
-    scores with attention and adds the distillation term, whose teacher
-    plans are recomputed once per step and held constant within it, and
-    descends its exact gradient. Returns the trained table and one trace
+    scores with attention and adds the distillation term, and descends its
+    exact gradient. Its teacher plans are solved again at the start of
+    each step, every site's legs of one shape in one stack, and held
+    constant within it; one scoring of the batch gives both the step's
+    trace row and its gradient. Returns the trained table and one trace
     row per step (row 0 is the starting point). Deterministic.
     """
     run = _training_run(run, train.objective)
     _guard_sizes(dataset, table)
 
     state = _objective_state(dataset, table, train, run)
-    trace = [replace(state.row(table), step=0)]
+    trace = []
     sites = train.trainable_sites()
 
-    for step in range(1, train.steps + 1):
+    for step in range(train.steps):
         if train.objective == OBJECTIVE_KD:
-            grads = state.gradient(table)
+            row, grads = state.evaluate(table, gradient=True)
         else:
+            row = state.row(table)
             grads = _fd_matrices(state, table, sites, train.fd_step)
+        trace.append(replace(row, step=step))
         table = {
             **table,
             **{
@@ -620,6 +658,5 @@ def toy_train(
             },
         }
         state = _objective_state(dataset, table, train, run)
-        trace.append(replace(state.row(table), step=step))
-
+    trace.append(replace(state.row(table), step=train.steps))
     return table, trace

@@ -334,6 +334,39 @@ class TestBatchObjectiveOracle:
                     )
 
 
+class TestSharedTeacherSolves:
+    """Teachers solved one stack per leg shape, across sites, are the per-leg ones."""
+
+    def test_teachers_and_kd_term_equal_per_leg_computation(
+        self, mixed_lengths_dataset, repeated_golds_dataset, tiny_table
+    ):
+        sites = ToyTrainConfig(
+            steps=0, objective="kd", include_reverse_sites=True
+        ).distilled_sites()
+        assert set(sites) == set(AssignmentSite)
+        run = _training_run(None, "kd")
+        for dataset in (mixed_lengths_dataset, repeated_golds_dataset):
+            mentions, golds = batch_of(dataset)
+            state = _BatchObjective(mentions, golds, tiny_table, run, sites)
+            pairs = distill_pairs(mentions, golds, tiny_table, run, sites)
+            seen = {site: [] for site in sites}
+            sites_of_shape = {}
+            for (site, legs, dst, src), plans in zip(state._parts, state._teachers):
+                sites_of_shape.setdefault((dst.shape[1], src.shape[1]), set()).add(site)
+                for leg, plan in zip(legs, plans, strict=True):
+                    assert np.array_equal(plan, pairs[site][leg].plan), (site, leg)
+                    seen[site].append(leg)
+            for site in sites:
+                assert sorted(seen[site]) == list(range(len(pairs[site]))), site
+            if dataset is mixed_lengths_dataset:
+                assert any(len(s) > 1 for s in sites_of_shape.values())
+            # Left to right over each site's legs, then over the sites.
+            expected = sum(
+                sum(kd_pair_loss(p.plan, p.logits) for p in pairs[site]) for site in sites
+            )
+            assert state.row(tiny_table).l_kd == expected
+
+
 class TestStackedRow:
     """A table entry with probe axes gives one row per probe, as each alone would."""
 
@@ -383,6 +416,25 @@ class TestStackedRow:
                 assert got == getattr(alone, field), (field, p)
 
 
+def random_dataset(rng, b, n_entities, mixed, d=4):
+    """``b`` mentions over ``n_entities`` entities of random features.
+
+    With ``mixed`` every sequence gets its own length in 1-5, else 3.
+    """
+
+    def sides():
+        rows = rng.integers(1, 6, size=2) if mixed else (3, 3)
+        return [FeatureMatrix(rng.standard_normal((int(n), d))) for n in rows]
+
+    entities = tuple(EntityRecord(f"e{u}", *sides()) for u in range(n_entities))
+    # Fewer entities than mentions make golds repeat.
+    mentions = tuple(
+        MentionRecord(f"m{i}", *sides(), gold_entity=f"e{rng.integers(n_entities)}")
+        for i in range(b)
+    )
+    return Dataset(entities=entities, mentions=mentions, d=d)
+
+
 def max_pool_margin(dataset, table):
     """The least gap between the top two rows of any column attention pools by max."""
     mentions, golds = batch_of(dataset)
@@ -419,20 +471,8 @@ class TestAnalyticGradient:
     )
     def test_matches_fd_gradient(self, seed, ablation, pool, reverse, b, n_entities, mixed):
         rng = np.random.default_rng(seed)
-        d = 4
-
-        def sides():
-            rows = rng.integers(1, 6, size=2) if mixed else (3, 3)
-            return [FeatureMatrix(rng.standard_normal((int(n), d))) for n in rows]
-
-        entities = tuple(EntityRecord(f"e{u}", *sides()) for u in range(n_entities))
-        # Fewer entities than mentions make golds repeat.
-        mentions = tuple(
-            MentionRecord(f"m{i}", *sides(), gold_entity=f"e{rng.integers(n_entities)}")
-            for i in range(b)
-        )
-        dataset = Dataset(entities=entities, mentions=mentions, d=d)
-        table = default_projections(d, seed=seed % 1000, scale=1.5)
+        dataset = random_dataset(rng, b, n_entities, mixed)
+        table = default_projections(dataset.d, seed=seed % 1000, scale=1.5)
         if pool == "max":
             # Central differences straddle no switch of the max row.
             assume(max_pool_margin(dataset, table) > 1e-3)
@@ -440,15 +480,61 @@ class TestAnalyticGradient:
             RunConfig(tol=TRAINING_TOL, pool=pool, ablations=frozenset(ablation)), "kd"
         )
         train = ToyTrainConfig(steps=0, objective="kd", include_reverse_sites=reverse)
-        state = _BatchObjective(
-            list(mentions), [dataset.gold_of(m) for m in mentions], table, run,
-            train.distilled_sites(),
-        )
+        mentions, golds = batch_of(dataset)
+        state = _BatchObjective(mentions, golds, table, run, train.distilled_sites())
         analytic = state.gradient(table)
         assert set(analytic) == set(train.trainable_sites())
         for (site, name, i, j), f in fd_gradient(dataset, table, train, run).items():
             a = analytic[site][name][i, j]
             assert abs(a - f) <= 1e-6 * max(1.0, abs(f)), (site, name, i, j, a, f)
+
+
+class TestKdTrainingScoresOnce:
+    """A kd step's one scoring gives what separate row and gradient calls give."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ablation=st.sampled_from([(), ("no_fusm",), ("no_unim",)]),
+        pool=st.sampled_from(["soft", "mean", "max"]),
+        reverse=st.booleans(),
+        b=st.integers(2, 5),
+        n_entities=st.integers(1, 4),
+        mixed=st.booleans(),
+    )
+    def test_matches_reference_loop(self, seed, ablation, pool, reverse, b, n_entities, mixed):
+        rng = np.random.default_rng(seed)
+        dataset = random_dataset(rng, b, n_entities, mixed)
+        table = default_projections(dataset.d, seed=seed % 1000, scale=1.5)
+        run = _training_run(
+            RunConfig(tol=TRAINING_TOL, pool=pool, ablations=frozenset(ablation)), "kd"
+        )
+        train = ToyTrainConfig(steps=3, lr=2.0, objective="kd", include_reverse_sites=reverse)
+        trained, trace = toy_train(dataset, table, train, run)
+
+        mentions, golds = batch_of(dataset)
+        expected = []
+        for step in range(train.steps + 1):
+            state = _BatchObjective(mentions, golds, table, run, train.distilled_sites())
+            expected.append(replace(state.row(table), step=step))
+            if step == train.steps:
+                break
+            grads = state.gradient(table)
+            table = {
+                **table,
+                **{
+                    site: table[site].replace(**{
+                        name: getattr(table[site], name) - train.lr * grads[site][name]
+                        for name in ("w_q", "w_k", "w_h")
+                    })
+                    for site in train.trainable_sites()
+                },
+            }
+        assert trace == expected
+        for site in AssignmentSite:
+            for name in ("w_q", "w_k", "w_h"):
+                got = getattr(trained[site], name).tobytes()
+                assert got == getattr(table[site], name).tobytes(), (site, name)
 
 
 class TestToyTrain:
