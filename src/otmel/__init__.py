@@ -4,7 +4,7 @@ The package operates on precomputed feature matrices: it couples feature
 sequences either by attention or by entropy-regularized optimal
 transport, pools the transported features into match scores, ranks
 entity candidates per mention, and provides contrastive/distillation
-objectives plus a desk-scale finite-difference trainer.
+objectives plus a desk-scale gradient-descent trainer.
 """
 
 from .config import RunConfig

@@ -268,12 +268,7 @@ def cmd_train_toy(args) -> int:
     dataset = load_manifest(args.manifest)
     run = _run_config(args, tol=TRAINING_TOL)
     table = _table_for(run.projections_path, dataset.d)
-    train = ToyTrainConfig(
-        steps=args.steps,
-        lr=args.lr,
-        fd_step=args.fd_step,
-        objective=args.objective,
-    )
+    train = ToyTrainConfig(steps=args.steps, lr=args.lr, objective=args.objective)
     trained, trace = toy_train(dataset, table, train, run)
     print("step,L_F,L_T,L_V,L_O,L_KD,J")
     for row in trace:
@@ -380,13 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--lr", type=float, default=ToyTrainConfig.lr)
-    p.add_argument(
-        "--fd-step",
-        type=float,
-        default=ToyTrainConfig.fd_step,
-        help="central-difference step; read by --objective ot only, "
-        "since kd trains on its exact gradient",
-    )
     p.add_argument("--objective", choices=OBJECTIVES, default=ToyTrainConfig.objective)
     p.add_argument("--proj", help="initial projections (default: identity)")
     p.add_argument("--save-proj", help="directory for the trained projections")

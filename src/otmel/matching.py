@@ -5,7 +5,7 @@ multimodal representations, the two unimodal scores compare transported
 features and raw summary rows within a single modality, and the overall
 score averages whichever of the three the configuration keeps.
 :meth:`Scorer.score_grid` is the one forward scoring path: ranking, the
-batch losses and the toy trainer's finite-difference probes all score
+batch losses, the toy trainer and its finite-difference check all score
 through it.
 """
 
@@ -232,10 +232,11 @@ class Scorer:
     :func:`unimodal_score` give for the pair alone, whatever else shares
     the call.
     A table entry may carry leading probe axes on its matrices, such as
-    the toy trainer's ``(P, 1, d, d)`` stacks of perturbed copies, whose
-    unit axis broadcasts over the stacked records. They lead every array
-    derived from that entry, ahead of the record axes, and each probe's
-    slice equals, bit for bit, the result under that probe alone.
+    :func:`~otmel.objectives.fd_gradient`'s ``(P, 1, d, d)`` stacks of
+    perturbed copies, whose unit axis broadcasts over the stacked records.
+    They lead every array derived from that entry, ahead of the record
+    axes, and each probe's slice equals, bit for bit, the result under
+    that probe alone.
     """
 
     def __init__(self, projections: ProjectionTable, config: RunConfig = RunConfig()):

@@ -10,15 +10,13 @@ Its batch objective holds what a step keeps fixed (the batch, and the
 teacher plans) and scores the batch under the table it is given with
 :meth:`~otmel.matching.Scorer.score_grid`, the scoring core ranking uses;
 of its own it keeps only the distillation term.
-The ``kd`` objective scores with attention, so with the teachers held it
-is differentiated exactly, by one hand-written reverse pass over the
-batch; a step solves all sites' teachers in one stack per leg shape, and
-scores the batch once for its trace row and its gradient. The ``ot``
-objective, whose assignments are Sinkhorn solves, is descended by
-central finite differences: all probes of one projection matrix go in as
-one stack of perturbed copies, which passes through scoring and the
-losses as one more leading axis. The same differences, as
-:func:`fd_gradient`, check the reverse pass.
+Both objectives descend an exact gradient, taken by one hand-written
+reverse pass over the batch. The ``kd`` objective scores with attention
+and holds its teachers within a step; a step solves all sites' teachers
+in one stack per leg shape. The ``ot`` objective's assignments are
+Sinkhorn plans, differentiated implicitly at their fixed point. A step
+scores the batch once for its trace row and its gradient. Central finite
+differences, as :func:`fd_gradient`, check the reverse pass.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ from .correlation import (
     cosine_cost,
     project,
     record_sites,
-    row_softmax,
 )
 from .data_io import Dataset
 from .errors import ConfigError, DataError, DimensionError, NonFiniteError
@@ -203,8 +200,9 @@ OBJECTIVE_OT = "ot"
 OBJECTIVE_KD = "kd"
 OBJECTIVES = (OBJECTIVE_OT, OBJECTIVE_KD)
 
-# The trainer's solver tolerance, tighter than ranking's so the central
-# differences stay smooth. Batch loss reports score at it too.
+# The trainer's solver tolerance, tighter than ranking's, so the plans the
+# reverse pass differentiates sit close to their fixed points. Batch loss
+# reports score at it too.
 TRAINING_TOL = 1e-9
 
 MAX_TRAIN_DIM = 16
@@ -218,9 +216,8 @@ _MATRIX_NAMES = ("w_q", "w_k", "w_h")
 class ToyTrainConfig:
     """Settings for the toy trainer.
 
-    ``fd_step`` is the central-difference step of the ``ot`` objective's
-    gradient and of :func:`fd_gradient`; the ``kd`` objective trains on
-    its exact gradient and does not read it.
+    ``fd_step`` is the central-difference step of :func:`fd_gradient`;
+    training takes the exact gradient and does not read it.
     """
 
     steps: int
@@ -350,11 +347,13 @@ class _BatchObjective:
 
         Teachers are held from the start, and both come from one
         :meth:`~otmel.matching.Scorer.score_grid`. The gradient (None
-        without ``gradient``) is exact under attention. It maps each site
-        the objective reads (the scoring sites and the distilled ones) to
-        the derivatives by its ``w_q``, ``w_k`` and ``w_h``. The reverse
-        pass recomputes the assignments it needs, stacked by shape, and
-        takes the max pool's subgradient at numpy's argmax row.
+        without ``gradient``) is exact under either mechanism; a transport
+        plan is differentiated at its fixed point (:func:`_cost_grad`). It
+        maps each site the objective reads (the scoring sites and the
+        distilled ones) to the derivatives by its ``w_q``, ``w_k`` and
+        ``w_h``. The reverse pass recomputes the assignments it needs,
+        stacked by shape, and takes the max pool's subgradient at numpy's
+        argmax row.
         """
         scorer = Scorer(table, self.run)
         grid = scorer.score_grid(self.mentions, self.entities)
@@ -382,7 +381,6 @@ class _BatchObjective:
             site: np.zeros((3, table[site].dim, table[site].dim))
             for site in dict.fromkeys(PIPELINE_SITES + self.kd_sites)
         }
-        pool = self.run.pool
         # Each kept score's gradient: its own loss, and its share of s_o's,
         # taken on the gold columns and scattered back onto the grid.
         slots = self._gold_slots
@@ -412,7 +410,7 @@ class _BatchObjective:
                     x = np.array([getattr(records[r], dst).data for r in group])
                     y = np.array([getattr(records[r], src).data for r in group])
                     grads[site] += _transported_grads(
-                        x, y, table[site], d_pooled[group, slot], pool, pooled_with=x
+                        x, y, table[site], d_pooled[group, slot], self.run, pooled_with=x
                     )
         if d_t is not None:
             for site, d_s in zip(UNIMODAL_SITES, (d_t, d_v)):
@@ -431,7 +429,7 @@ class _BatchObjective:
                         np.array([side.data for side in x]),
                         table[site],
                         0.5 * np.array(d)[:, None] * t_e,
-                        pool,
+                        self.run,
                     )
         for (site, _, dst, src), ((q, k), d_logits) in zip(self._parts, kd_backward):
             grads[site][:2] += _logit_grads(dst, src, q, k, d_logits)
@@ -442,7 +440,7 @@ class _BatchObjective:
         return self.evaluate(table)[0]
 
     def gradient(self, table: ProjectionTable) -> dict[AssignmentSite, dict]:
-        """The exact gradient of ``row(table).total`` under attention."""
+        """The exact gradient of ``row(table).total``."""
         return self.evaluate(table, gradient=True)[1]
 
 
@@ -483,23 +481,67 @@ def _logit_grads(dst, src, q, k, d_logits) -> tuple[np.ndarray, np.ndarray]:
     return _contract(dst, d_logits @ k), _contract(src, d_logits.swapaxes(-1, -2) @ q)
 
 
-def _transported_grads(dst, src, proj, d_pooled, pool, pooled_with=None) -> np.ndarray:
+def _cost_grad(plan: np.ndarray, d_plan: np.ndarray, sharpness: float) -> np.ndarray:
+    """d loss / d C of stacked transport plans from d loss / d P, at the fixed point.
+
+    Implicit differentiation (Eisenberger et al., CVPR 2022): with G the
+    plan's gradient and mu, nu its row and column sums, ``[alpha; beta]``
+    solves ``[[diag mu, P], [P^T, diag nu]] [alpha; beta] = [(G*P)1; (G*P)^T 1]``
+    with ``beta_m = 0``, and ``dL/dC = -sharpness * P * (G - alpha 1^T - 1 beta^T)``.
+    An unconverged solve gets the formula at the plan it returned. The
+    system is solved by pseudo-inverse: where underflow splits a plan's
+    support into blocks, each block has a gauge of its own, and any
+    solution gives the same gradient.
+    """
+    n, m = plan.shape[-2:]
+    system = np.block([
+        [plan.sum(axis=-1)[..., None] * np.eye(n), plan],
+        [plan.swapaxes(-1, -2), plan.sum(axis=-2)[..., None] * np.eye(m)],
+    ])
+    gp = d_plan * plan
+    rhs = np.concatenate([gp.sum(axis=-1), gp.sum(axis=-2)], axis=-1)
+    # The gauge beta_m = 0 drops the last row and column.
+    inverse = np.linalg.pinv(system[..., :-1, :-1], hermitian=True)
+    dual = np.zeros(rhs.shape)
+    dual[..., :-1] = (inverse @ rhs[..., :-1, None])[..., 0]
+    return -sharpness * plan * (d_plan - dual[..., :n, None] - dual[..., None, n:])
+
+
+def _cosine_grads(q, k, d_cost) -> tuple[np.ndarray, np.ndarray]:
+    """d loss / d Q and K from d loss / d :func:`cosine_cost`; flat where clipped."""
+    qn = np.linalg.norm(q, axis=-1, keepdims=True)
+    kn = np.linalg.norm(k, axis=-1, keepdims=True)
+    cos = (q @ k.swapaxes(-1, -2)) / (qn * kn.swapaxes(-1, -2))
+    d_cos = np.where(np.abs(cos) <= 1.0, -0.5 * d_cost, 0.0)
+    q_hat, k_hat, weight = q / qn, k / kn, d_cos * cos
+    d_q = (d_cos @ k_hat - weight.sum(axis=-1)[..., None] * q_hat) / qn
+    d_k = (d_cos.swapaxes(-1, -2) @ q_hat - weight.sum(axis=-2)[..., None] * k_hat) / kn
+    return d_q, d_k
+
+
+def _transported_grads(dst, src, proj, d_pooled, run, pooled_with=None) -> np.ndarray:
     """The three matrices' gradients through pooled transported features.
 
     ``dst`` and ``src`` are ``(B, n, d)`` and ``(B, m, d)`` stacks of
-    attention problems; each problem's transported rows are pooled, after
-    its rows of ``pooled_with`` if given, into a vector whose gradient is
-    that problem's row of ``d_pooled``.
+    assignment problems under ``run.mechanism``; each problem's
+    transported rows are pooled, after its rows of ``pooled_with`` if
+    given, into a vector whose gradient is that problem's row of
+    ``d_pooled``.
     """
     q, k, h = project(dst, src, proj)
-    a = row_softmax(attention_logits(q, k))
+    a = assignment_stack([(q, k)], run.mechanism, run.sinkhorn_config())
     g = a @ h
     x = g if pooled_with is None else np.concatenate([pooled_with, g], axis=-2)
-    d_g = _pool_grad(x, d_pooled, pool)[..., -g.shape[-2]:, :]
+    d_g = _pool_grad(x, d_pooled, run.pool)[..., -g.shape[-2]:, :]
     d_a = d_g @ h.swapaxes(-1, -2)
-    d_logits = a * (d_a - (d_a * a).sum(axis=-1, keepdims=True))
     d_h = a.swapaxes(-1, -2) @ d_g
-    return np.array([*_logit_grads(dst, src, q, k, d_logits), _contract(src, d_h)])
+    if run.mechanism == OT:
+        d_q, d_k = _cosine_grads(q, k, _cost_grad(a, d_a, run.sharpness))
+        d_qk = _contract(dst, d_q), _contract(src, d_k)
+    else:
+        d_logits = a * (d_a - (d_a * a).sum(axis=-1, keepdims=True))
+        d_qk = _logit_grads(dst, src, q, k, d_logits)
+    return np.array([*d_qk, _contract(src, d_h)])
 
 
 def _guard_sizes(dataset: Dataset, table: ProjectionTable) -> None:
@@ -533,13 +575,35 @@ def _objective_state(dataset, table, train: ToyTrainConfig, run: RunConfig):
     return _BatchObjective(mentions, golds, table, run, train.distilled_sites())
 
 
-def _central_differences(state: _BatchObjective, table, coords, h: float):
-    """Central differences at ``coords``, one objective evaluation per matrix.
+def fd_gradient(
+    dataset: Dataset,
+    table: ProjectionTable,
+    train: ToyTrainConfig,
+    run: RunConfig | None = None,
+    coords=None,
+) -> dict[tuple[AssignmentSite, str, int, int], float]:
+    """Central-difference gradient of the training objective, step ``fd_step``.
 
-    The K probed entries of one (site, matrix) make a ``(2K, 1, d, d)``
-    stack of it, ``+h`` at each entry and then ``-h``; the unit axis
-    broadcasts over the site's stacked legs.
+    ``coords`` limits the computation to selected
+    (site, matrix name, row, column) entries; by default every entry of
+    every trainable site is probed. The K probed entries of one
+    (site, matrix) make one ``(2K, 1, d, d)`` stack of it, ``+h`` at each
+    entry and then ``-h``, scored in one objective evaluation; the unit
+    axis broadcasts over the site's stacked legs. It is the reference
+    the trainer's exact gradient is tested against.
     """
+    run = _training_run(run, train.objective)
+    _guard_sizes(dataset, table)
+    state = _objective_state(dataset, table, train, run)
+    if coords is None:
+        coords = [
+            (site, name, i, j)
+            for site in train.trainable_sites()
+            for name in _MATRIX_NAMES
+            for i in range(table[site].dim)
+            for j in range(table[site].dim)
+        ]
+    h = train.fd_step
     by_matrix: dict[tuple, list] = {}
     for coord in coords:
         by_matrix.setdefault(coord[:2], []).append(coord)
@@ -554,53 +618,6 @@ def _central_differences(state: _BatchObjective, table, coords, h: float):
         up, down = np.broadcast_to(total, probes.shape[:1]).reshape(2, -1)
         grads.update(zip(group, ((up - down) / (2.0 * h)).tolist()))
     return grads
-
-
-def _every_coord(table, sites):
-    return [
-        (site, name, i, j)
-        for site in sites
-        for name in _MATRIX_NAMES
-        for i in range(table[site].dim)
-        for j in range(table[site].dim)
-    ]
-
-
-def _fd_matrices(state: _BatchObjective, table, sites, h: float):
-    """Central differences at every entry of ``sites``, as matrices.
-
-    Laid out as :meth:`_BatchObjective.gradient` lays out its result.
-    """
-    grads = {
-        site: {name: np.zeros((table[site].dim,) * 2) for name in _MATRIX_NAMES}
-        for site in sites
-    }
-    for (site, name, i, j), grad in _central_differences(
-        state, table, _every_coord(table, sites), h
-    ).items():
-        grads[site][name][i, j] = grad
-    return grads
-
-
-def fd_gradient(
-    dataset: Dataset,
-    table: ProjectionTable,
-    train: ToyTrainConfig,
-    run: RunConfig | None = None,
-    coords=None,
-) -> dict[tuple[AssignmentSite, str, int, int], float]:
-    """Central-difference gradient of the training objective.
-
-    ``coords`` limits the computation to selected
-    (site, matrix name, row, column) entries; by default every entry of
-    every trainable site is probed.
-    """
-    run = _training_run(run, train.objective)
-    _guard_sizes(dataset, table)
-    state = _objective_state(dataset, table, train, run)
-    if coords is None:
-        coords = _every_coord(table, train.trainable_sites())
-    return _central_differences(state, table, coords, train.fd_step)
 
 
 def batch_loss_report(
@@ -625,12 +642,12 @@ def toy_train(
     """Plain gradient descent on the projection tables.
 
     The ``ot`` objective is the matching loss with transport-based
-    assignments, descended by central differences; the ``kd`` objective
-    scores with attention and adds the distillation term, and descends its
-    exact gradient. Its teacher plans are solved again at the start of
+    assignments; the ``kd`` objective scores with attention and adds the
+    distillation term. Its teacher plans are solved again at the start of
     each step, every site's legs of one shape in one stack, and held
-    constant within it; one scoring of the batch gives both the step's
-    trace row and its gradient. Returns the trained table and one trace
+    constant within it. Each step descends the exact gradient of
+    :meth:`_BatchObjective.evaluate`, whose one scoring of the batch also
+    gives the step's trace row. Returns the trained table and one trace
     row per step (row 0 is the starting point). Deterministic.
     """
     run = _training_run(run, train.objective)
@@ -638,14 +655,8 @@ def toy_train(
 
     state = _objective_state(dataset, table, train, run)
     trace = []
-    sites = train.trainable_sites()
-
     for step in range(train.steps):
-        if train.objective == OBJECTIVE_KD:
-            row, grads = state.evaluate(table, gradient=True)
-        else:
-            row = state.row(table)
-            grads = _fd_matrices(state, table, sites, train.fd_step)
+        row, grads = state.evaluate(table, gradient=True)
         trace.append(replace(row, step=step))
         table = {
             **table,
@@ -654,7 +665,7 @@ def toy_train(
                     name: getattr(table[site], name) - train.lr * grads[site][name]
                     for name in _MATRIX_NAMES
                 })
-                for site in sites
+                for site in train.trainable_sites()
             },
         }
         state = _objective_state(dataset, table, train, run)

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from otmel.config import RunConfig
 from otmel.correlation import (
-    ATTENTION,
     PIPELINE_SITES,
     SITE_LEGS,
     UNIMODAL_SITES,
     AssignmentSite,
     assign,
+    cosine_cost,
     default_projections,
     interact_record,
     ot_assign,
@@ -28,6 +28,8 @@ from otmel.objectives import (
     DistillPair,
     ToyTrainConfig,
     _BatchObjective,
+    _cosine_grads,
+    _cost_grad,
     _training_run,
     batch_loss_report,
     contrastive_loss,
@@ -435,13 +437,14 @@ def random_dataset(rng, b, n_entities, mixed, d=4):
     return Dataset(entities=entities, mentions=mentions, d=d)
 
 
-def max_pool_margin(dataset, table):
-    """The least gap between the top two rows of any column attention pools by max."""
+def max_pool_margin(dataset, table, run):
+    """The least gap between the top two rows of any column ``run`` pools by max."""
     mentions, golds = batch_of(dataset)
     entities = list({id(g): g for g in golds}.values())
+    mechanism, solver = run.mechanism, run.sinkhorn_config()
     pooled = []
     for record in [*mentions, *entities]:
-        fused = interact_record(record, table, ATTENTION)
+        fused = interact_record(record, table, mechanism, solver)
         pooled += [
             np.vstack([record.text.data, fused.v2t.g]),
             np.vstack([record.visual.data, fused.t2v.g]),
@@ -451,17 +454,20 @@ def max_pool_margin(dataset, table):
         for mention in mentions:
             for entity in entities:
                 side = (getattr(entity, e_attr), getattr(mention, m_attr))
-                pooled.append(assign(*side, table[site], ATTENTION).g)
+                pooled.append(assign(*side, table[site], mechanism, solver).g)
     gaps = [np.diff(np.sort(x, axis=0)[-2:], axis=0) for x in pooled if len(x) > 1]
     return min((float(g.min()) for g in gaps), default=np.inf)
 
 
 class TestAnalyticGradient:
-    """The kd objective's reverse pass agrees with central differences."""
+    """Either objective's reverse pass agrees with central differences."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
+        objective=st.sampled_from(["ot", "kd"]),
+        # Sharpness values at which every solve converges at TRAINING_TOL.
+        sharpness=st.sampled_from([0.6, 5.0]),
         ablation=st.sampled_from([(), ("no_fusm",), ("no_unim",)]),
         pool=st.sampled_from(["soft", "mean", "max"]),
         reverse=st.booleans(),
@@ -469,17 +475,27 @@ class TestAnalyticGradient:
         n_entities=st.integers(1, 4),
         mixed=st.booleans(),
     )
-    def test_matches_fd_gradient(self, seed, ablation, pool, reverse, b, n_entities, mixed):
+    def test_matches_fd_gradient(
+        self, seed, objective, sharpness, ablation, pool, reverse, b, n_entities, mixed
+    ):
         rng = np.random.default_rng(seed)
         dataset = random_dataset(rng, b, n_entities, mixed)
         table = default_projections(dataset.d, seed=seed % 1000, scale=1.5)
+        run = _training_run(
+            RunConfig(
+                sharpness=sharpness,
+                tol=TRAINING_TOL,
+                pool=pool,
+                ablations=frozenset(ablation),
+            ),
+            objective,
+        )
         if pool == "max":
             # Central differences straddle no switch of the max row.
-            assume(max_pool_margin(dataset, table) > 1e-3)
-        run = _training_run(
-            RunConfig(tol=TRAINING_TOL, pool=pool, ablations=frozenset(ablation)), "kd"
+            assume(max_pool_margin(dataset, table, run) > 1e-3)
+        train = ToyTrainConfig(
+            steps=0, objective=objective, include_reverse_sites=reverse
         )
-        train = ToyTrainConfig(steps=0, objective="kd", include_reverse_sites=reverse)
         mentions, golds = batch_of(dataset)
         state = _BatchObjective(mentions, golds, table, run, train.distilled_sites())
         analytic = state.gradient(table)
@@ -537,6 +553,51 @@ class TestKdTrainingScoresOnce:
                 assert got == getattr(table[site], name).tobytes(), (site, name)
 
 
+class TestCostGrad:
+    def test_plan_split_into_blocks_gets_each_blocks_gradient(self, rng):
+        # Two 2x2 blocks with no mass between them: the bordered system is
+        # singular, and each block's gradient is its own problem's.
+        block = np.full((2, 2), 0.125)
+        plan = np.zeros((4, 4))
+        plan[:2, :2] = plan[2:, 2:] = block
+        d_plan = rng.standard_normal((4, 4))
+        got = _cost_grad(plan, d_plan, 5.0)
+        for cut in (slice(0, 2), slice(2, 4)):
+            alone = _cost_grad(block, d_plan[cut, cut], 5.0)
+            np.testing.assert_allclose(got[cut, cut], alone, rtol=1e-12, atol=1e-15)
+        assert not got[:2, 2:].any() and not got[2:, :2].any()
+
+
+class TestCosineGrads:
+    """The cost's backward has no slope where the forward clipped the cosine."""
+
+    def test_clipped_entry_is_flat_and_others_match_differences(self):
+        # Row 0 of k is row 0 of q scaled, and its cosine rounds to just above 1.
+        q = np.array([[0.3, 0.7], [1.0, -0.5]])
+        k = np.array([3.0 * q[0], [0.2, 0.4]])
+        qn = np.linalg.norm(q, axis=-1, keepdims=True)
+        kn = np.linalg.norm(k, axis=-1, keepdims=True)
+        assert ((q @ k.T) / (qn * kn.T))[0, 0] > 1.0
+        clipped = np.zeros((2, 2))
+        clipped[0, 0] = 1.0
+        for grad in _cosine_grads(q, k, clipped):
+            assert not grad.any()
+        d_cost = np.array([[0.0, 0.7], [-1.3, 0.4]])
+
+        def weighted(q, k):
+            return (d_cost * cosine_cost(q, k).data).sum()
+
+        h = 1e-6
+        d_q, d_k = _cosine_grads(q, k, d_cost)
+        for i, j in itertools.product(range(2), range(2)):
+            step = np.zeros((2, 2))
+            step[i, j] = h
+            fd_q = (weighted(q + step, k) - weighted(q - step, k)) / (2 * h)
+            fd_k = (weighted(q, k + step) - weighted(q, k - step)) / (2 * h)
+            assert d_q[i, j] == pytest.approx(fd_q, abs=1e-8)
+            assert d_k[i, j] == pytest.approx(fd_k, abs=1e-8)
+
+
 class TestToyTrain:
     def test_zero_steps_unchanged(self, tiny_dataset, tiny_table):
         trained, trace = toy_train(tiny_dataset, tiny_table, ToyTrainConfig(steps=0))
@@ -561,12 +622,18 @@ class TestToyTrain:
                         objective, site, name,
                     )
 
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_kd_descent_matches_fd_steps(self, mixed_lengths_dataset, tiny_table, reverse):
-        """kd steps on the exact gradient track steps on ``fd_gradient``."""
-        train = ToyTrainConfig(steps=3, lr=2.0, objective="kd", include_reverse_sites=reverse)
+    @pytest.mark.parametrize(
+        "objective, reverse", [("kd", False), ("kd", True), ("ot", False)]
+    )
+    def test_descent_matches_fd_steps(
+        self, mixed_lengths_dataset, tiny_table, objective, reverse
+    ):
+        """Steps on the exact gradient track steps on ``fd_gradient``."""
+        train = ToyTrainConfig(
+            steps=3, lr=2.0, objective=objective, include_reverse_sites=reverse
+        )
         trained, trace = toy_train(mixed_lengths_dataset, tiny_table, train)
-        run = _training_run(None, "kd")
+        run = _training_run(None, objective)
         mentions, golds = batch_of(mixed_lengths_dataset)
         table = tiny_table
         for step in range(train.steps + 1):
