@@ -20,7 +20,10 @@ after every pair: a run keeps its iterates and computes all their errors
 in one array pass. Runs are single pairs for the first few iterations and
 then grow with the iterations done, up to a short cap. Each problem still
 stops at the first pair whose error is under ``tol``, with that pair's
-iterates; the pairs after it in its run are discarded.
+iterates; the pairs after it in its run are discarded. The one-problem
+loop writes its longer runs into buffers allocated once per solve, and
+takes its products through ``ndarray.dot``, the same gemv as ``matmul``,
+so a pair costs four numpy calls.
 """
 
 from __future__ import annotations
@@ -189,7 +192,7 @@ def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return a @ x if x.ndim == 1 else (a @ x[..., None])[..., 0]
 
 
-def _pairs(kernel, kernel_t, kv, mu, nu, steps: int, matvec):
+def _pairs(kernel, kernel_t, kv, mu, nu, steps: int):
     """Run ``steps`` scaling pairs from ``kv = K v``; return the iterates and errors.
 
     Each pair is ``u = mu / (K v)`` then ``v = nu / (K^T u)``. Returns the
@@ -197,15 +200,14 @@ def _pairs(kernel, kernel_t, kv, mu, nu, steps: int, matvec):
     ``kv`` first), and each pair's L1 marginal error of ``diag(u) K diag(v)``.
     A longer run stacks its iterates on a new leading axis and computes
     all its errors in one pass; a run of one stacks nothing and returns
-    its one error without that axis. ``matvec(a, x)`` is the
-    matrix-vector product for the kernel's layout.
+    its one error without that axis.
     """
     us, kt_us, vs, kvs = [], [], [], [kv]
     for _ in range(steps):
         u = mu / kv
-        kt_u = matvec(kernel_t, u)
+        kt_u = _matvec(kernel_t, u)
         v = nu / kt_u
-        kv = matvec(kernel, v)
+        kv = _matvec(kernel, v)
         us.append(u)
         kt_us.append(kt_u)
         vs.append(v)
@@ -273,7 +275,8 @@ def sinkhorn(
     floating-point accuracy, converged or not, and lies within twice the
     residual (L1) of the scaled plan. Deterministic for fixed inputs; never
     raises on slow convergence. Solves one 2-D problem; see
-    :func:`sinkhorn_stack` for many.
+    :func:`sinkhorn_stack` for many. Runs longer than one pair are written
+    into buffers through ``ndarray.dot``, the same gemv as ``np.matmul``.
     """
     kernel, clamped = _kernel(cost, marginals, config)
     if kernel.ndim != 2:
@@ -288,29 +291,48 @@ def _scaled(kernel, clamped, marginals, config: SinkhornConfig) -> TransportPlan
     """The 2-D scaling loop of :func:`sinkhorn` on its kernel, then rounding."""
     mu, nu = marginals.mu, marginals.nu
     tol, max_iter = config.tol, config.max_iter
-    kernel_t = kernel.T
-    kv = kernel @ np.ones(kernel.shape[1])
+    dot, dot_t = kernel.dot, kernel.T.dot
+    kv = dot(np.ones(kernel.shape[1]))
+    rows = None
     done = 0
     while True:
-        # Single pairs until four are done, so fast solves stack nothing;
-        # then half the pairs done, so a solve overshoots its stop by at
-        # most half again. A single pair never passes max_iter.
+        # Single pairs until four are done, so fast solves allocate no
+        # buffers; then half the pairs done, so a solve overshoots its
+        # stop by at most half again. A single pair never passes max_iter.
         steps = done // 2 or 1
         if steps > 1:
             steps = min(steps, _MAX_RUN, max_iter - done)
-        vs, kvs, err = _pairs(kernel, kernel_t, kv, mu, nu, steps, np.matmul)
-        # The first pair under tol stops the solve; later ones are dropped.
-        j = steps - 1
-        if steps > 1:
-            below = np.flatnonzero(err < tol)
-            j = int(below[0]) if below.size else j
-            err = err[j]
-        done += j + 1
+        if steps == 1:
+            u = mu / kv
+            kt_u = dot_t(u)
+            v = nu / kt_u
+            kv_prev, kv = kv, dot(v)
+            err = np.abs(u * kv - mu).sum() + np.abs(v * kt_u - nu).sum()
+            done += 1
+        else:
+            if rows is None:
+                cap = min(_MAX_RUN, max_iter)
+                n, m = kernel.shape
+                us, kvs = np.empty((cap, n)), np.empty((cap + 1, n))
+                kt_us, vs = np.empty((cap, m)), np.empty((cap, m))
+                rows = list(zip(us, kt_us, vs, kvs, kvs[1:]))
+            kvs[0] = kv
+            for u, kt_u, v, kv_in, kv_out in rows[:steps]:
+                np.divide(mu, kv_in, out=u)
+                dot_t(u, out=kt_u)
+                np.divide(nu, kt_u, out=v)
+                dot(v, out=kv_out)
+            errs = np.abs(us[:steps] * kvs[1 : steps + 1] - mu).sum(-1)
+            errs += np.abs(vs[:steps] * kt_us[:steps] - nu).sum(-1)
+            # The first pair under tol stops the solve; later ones are dropped.
+            below = np.flatnonzero(errs < tol)
+            j = int(below[0]) if below.size else steps - 1
+            err, v, kv, kv_prev = errs[j], vs[j], kvs[j + 1], kvs[j]
+            done += j + 1
         if err < tol or done == max_iter:
             break
-        kv = kvs[-1]
 
-    plan, achieved = _rounded(kernel, vs[j], kvs[j + 1], kvs[j], marginals)
+    plan, achieved = _rounded(kernel, v, kv, kv_prev, marginals)
     return TransportPlan(
         data=plan,
         achieved_marginal_error=float(achieved),
@@ -336,7 +358,8 @@ def sinkhorn_stack(
     solve's, bit for bit, whatever else shares the stack. The returned
     plan has the cost's shape and carries its diagnostics as arrays over
     the leading axes. A stack holding one problem is solved by
-    :func:`sinkhorn`, whose loop does less per iteration.
+    :func:`sinkhorn`'s 2-D loop, which writes its runs into buffers through
+    ``ndarray.dot`` (the same gemv as ``matmul``) and does less per pair.
     """
     kernel, clamped = _kernel(cost, marginals, config)
     shape = kernel.shape
@@ -372,9 +395,7 @@ def sinkhorn_stack(
         steps = done // 2 or 1
         if steps > 1:
             steps = min(steps, _MAX_RUN // 4, config.max_iter - done)
-        vs, kvs, err = _pairs(
-            k_act, k_act.swapaxes(-1, -2), kv_act, mu, nu, steps, _matvec
-        )
+        vs, kvs, err = _pairs(k_act, k_act.swapaxes(-1, -2), kv_act, mu, nu, steps)
         err = err.reshape(steps, -1)
         below = err < config.tol
         done += steps

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otmel.config import RunConfig
+from otmel.correlation import cosine_cost
 from otmel.errors import ConfigError, DimensionError, NonFiniteError
 from otmel.ot import (
     CostMatrix,
@@ -190,6 +191,41 @@ class TestSinkhorn:
             np.stack([cost, cost / 1000]), Marginals.uniform(6, 6), config
         )
         assert stack.converged.tolist() == [False, True]
+
+
+# Pairs done when each run of the 2-D loop ends: single pairs up to 4,
+# then runs of half the pairs done, capped at 32.
+RUN_ENDS = (4, 6, 9, 13, 19, 28, 42, 63, 94, 126)
+
+
+class TestScalingLoop:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sharpness=st.sampled_from([0.6, 30.0]),
+        n=st.integers(1, 16),
+        m=st.integers(1, 16),
+        d=st.integers(2, 16),
+        max_iter=st.sampled_from(
+            sorted({e + k for e in RUN_ENDS for k in (-1, 0, 1)} | {1000})
+        ),
+    )
+    def test_matches_per_pair_reference_at_ranking_shapes(
+        self, seed, sharpness, n, m, d, max_iter
+    ):
+        # The lone-problem loop writes its runs into buffers through
+        # ndarray.dot; every pair must equal the reference's matmul pair,
+        # whether the cap ends a first buffered run, falls inside one or
+        # ends exactly at one. BLAS gemv blocks rows by 4 and 8, so the
+        # shapes reach past 8.
+        rng = np.random.default_rng(seed)
+        cost = cosine_cost(rng.standard_normal((n, d)), rng.standard_normal((m, d)))
+        marg = Marginals.uniform(n, m)
+        config = SinkhornConfig(sharpness=sharpness, max_iter=max_iter)
+        reference = _reference_sinkhorn(cost, marg, config)
+        assert_same_plan(sinkhorn(cost, marg, config), reference)
+        stack = sinkhorn_stack(cost.data[None], marg, config)
+        assert_same_plan(stack_member(stack, 0), reference)
 
 
 class TestSinkhornProperties:
