@@ -154,7 +154,6 @@ def _run_config(args, **defaults) -> RunConfig:
         "max_iter": args.max_iter,
         "pool": getattr(args, "pool", None),
         "projections_path": getattr(args, "proj", None),
-        "threads": getattr(args, "threads", None),
     }
     merged = {**defaults, **base, **{k: v for k, v in overrides.items() if v is not None}}
     flagged = getattr(args, "ablation", None) or []
@@ -211,11 +210,7 @@ def cmd_link(args) -> int:
     table = _table_for(run.projections_path, dataset.d)
     scorer = Scorer(table, run)
     results = rank_all(
-        dataset.mentions,
-        dataset.entities,
-        scorer,
-        evaluate=args.metrics,
-        threads=run.resolved_threads(),
+        dataset.mentions, dataset.entities, scorer, evaluate=args.metrics
     )
     print("mention_id,gold_rank," + ",".join(f"top{i}" for i in range(1, 11)))
     for r in results:
@@ -348,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit rankings only (gold ids not required)",
     )
     p.add_argument("--mechanism", choices=MECHANISMS)
-    p.add_argument("--threads", type=int, help="0 = auto")
     _add_run_flags(p, scoring=True)
     p.set_defaults(func=cmd_link)
 

@@ -91,9 +91,7 @@ ProjectionTable = dict[AssignmentSite, ProjectionSet]
 def identity_projections(d: int) -> ProjectionTable:
     """A table mapping every site to identity maps; the untrained default."""
     eye = np.eye(d)
-    return {
-        site: ProjectionSet(eye, eye, eye, site=site.value) for site in AssignmentSite
-    }
+    return {site: ProjectionSet(eye, eye, eye) for site in AssignmentSite}
 
 
 def default_projections(d: int, seed: int, scale: float = 1.0) -> ProjectionTable:
@@ -111,7 +109,7 @@ def default_projections(d: int, seed: int, scale: float = 1.0) -> ProjectionTabl
             # Fix the sign convention so the factorization is unique.
             q = q * np.sign(np.diag(r))
             mats.append(scale * q)
-        table[site] = ProjectionSet(*mats, site=site.value)
+        table[site] = ProjectionSet(*mats)
     return table
 
 
@@ -121,16 +119,13 @@ class AssignmentResult:
 
     ``a`` is the n x m assignment matrix (rows: destination elements,
     columns: source elements), ``g = a @ h`` the transported features.
-    ``logits`` holds the raw scaled scores in attention mode (the student
-    logits of distillation) and is None in transport mode. ``plan``
-    carries solver diagnostics in transport mode and is None otherwise.
+    ``plan`` carries solver diagnostics in transport mode and is None
+    otherwise.
     A stacked assignment carries the same leading axes on every array.
     """
 
     a: np.ndarray
     g: np.ndarray
-    logits: np.ndarray | None
-    mechanism: str
     plan: TransportPlan | None = None
 
 
@@ -169,9 +164,8 @@ def attention_logits(q: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def _attend(q, k, h) -> AssignmentResult:
-    scores = attention_logits(q, k)
-    a = row_softmax(scores)
-    return AssignmentResult(a=a, g=a @ h, logits=scores, mechanism=ATTENTION)
+    a = row_softmax(attention_logits(q, k))
+    return AssignmentResult(a=a, g=a @ h)
 
 
 def attention_assign(
@@ -211,9 +205,7 @@ def _transport(q, k, h, config: SinkhornConfig) -> AssignmentResult:
     # One problem keeps the 2-D loop, which does less per iteration.
     solve = sinkhorn if cost.data.ndim == 2 else sinkhorn_stack
     plan = solve(cost, Marginals.uniform(cost.n, cost.m), config)
-    return AssignmentResult(
-        a=plan.data, g=plan.data @ h, logits=None, mechanism=OT, plan=plan
-    )
+    return AssignmentResult(a=plan.data, g=plan.data @ h, plan=plan)
 
 
 def ot_assign(

@@ -99,11 +99,19 @@ class Dataset:
         return self.entity(mention.gold_entity)
 
 
-def _manifest_field(doc: dict, key: str, path):
-    try:
-        return doc[key]
-    except KeyError:
-        raise ParseError(f"{path}: manifest is missing required key {key!r}") from None
+_JSON_TYPES = {int: "integer", str: "string", list: "list", dict: "object"}
+
+
+def _field(doc: dict, key: str, kind: type, path, where: str = "manifest"):
+    """``doc[key]``, which must be present and of JSON type ``kind``."""
+    if key not in doc:
+        raise ParseError(f"{path}: {where} is missing required key {key!r}")
+    value = doc[key]
+    # A JSON boolean loads as a Python bool, which is an int.
+    if not isinstance(value, kind) or isinstance(value, bool):
+        name = _JSON_TYPES[kind]
+        raise ParseError(f"{path}: {where} field {key!r} must be a JSON {name}")
+    return value
 
 
 def _read_named(path: Path) -> FeatureMatrix:
@@ -114,13 +122,17 @@ def _read_named(path: Path) -> FeatureMatrix:
         raise DataError(f"{path}: named file cannot be read ({exc.strerror})") from exc
 
 
-def _load_record_matrices(base: Path, item: dict, path):
-    for key in ("id", "text_path", "visual_path"):
-        if key not in item:
-            raise ParseError(f"{path}: record entry is missing {key!r}")
-    text = _read_named(base / item["text_path"])
-    visual = _read_named(base / item["visual_path"])
-    return item["id"], text, visual
+def _load_records(doc: dict, section: str, base: Path, path):
+    """Yield (entry, id, text, visual) for each record listed under ``section``."""
+    for i, item in enumerate(_field(doc, section, list, path)):
+        where = f"{section} entry {i}"
+        if not isinstance(item, dict):
+            raise ParseError(f"{path}: {where} must be a JSON object")
+        rid, text_path, visual_path = (
+            _field(item, key, str, path, where)
+            for key in ("id", "text_path", "visual_path")
+        )
+        yield item, rid, _read_named(base / text_path), _read_named(base / visual_path)
 
 
 def load_manifest(path) -> Dataset:
@@ -137,18 +149,19 @@ def load_manifest(path) -> Dataset:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: manifest must be a JSON object")
-    version = _manifest_field(doc, "schema_version", path)
+    version = _field(doc, "schema_version", int, path)
     if version != MANIFEST_SCHEMA_VERSION:
         raise ParseError(
             f"{path}: manifest schema_version {version}, expected {MANIFEST_SCHEMA_VERSION}"
         )
-    d = _manifest_field(doc, "d", path)
+    d = _field(doc, "d", int, path)
+    if d < 1:
+        raise ParseError(f"{path}: manifest field 'd' must be a positive integer")
     base = path.parent
 
     entities = []
     seen_ids: set[str] = set()
-    for item in _manifest_field(doc, "entities", path):
-        rid, text, visual = _load_record_matrices(base, item, path)
+    for _, rid, text, visual in _load_records(doc, "entities", base, path):
         if rid in seen_ids:
             raise DataError(f"duplicate entity id {rid!r}")
         seen_ids.add(rid)
@@ -156,16 +169,16 @@ def load_manifest(path) -> Dataset:
 
     mentions = []
     mention_ids: set[str] = set()
-    for item in _manifest_field(doc, "mentions", path):
-        rid, text, visual = _load_record_matrices(base, item, path)
+    for item, rid, text, visual in _load_records(doc, "mentions", base, path):
         if rid in mention_ids:
             raise DataError(f"duplicate mention id {rid!r}")
         mention_ids.add(rid)
-        mentions.append(
-            MentionRecord(
-                id=rid, text=text, visual=visual, gold_entity=item.get("gold_entity")
+        gold = item.get("gold_entity")
+        if gold is not None and not isinstance(gold, str):
+            raise ParseError(
+                f"{path}: mention {rid!r} field 'gold_entity' must be a JSON string"
             )
-        )
+        mentions.append(MentionRecord(id=rid, text=text, visual=visual, gold_entity=gold))
 
     entity_ids = {e.id for e in entities}
     for record in [*entities, *mentions]:
@@ -188,7 +201,7 @@ def load_manifest(path) -> Dataset:
                 "which the manifest does not define"
             )
 
-    return Dataset(entities=tuple(entities), mentions=tuple(mentions), d=int(d))
+    return Dataset(entities=tuple(entities), mentions=tuple(mentions), d=d)
 
 
 def save_projections(table: ProjectionTable, directory) -> Path:
@@ -226,7 +239,9 @@ def load_projections(path) -> ProjectionTable:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-    sites = _manifest_field(doc, "sites", path)
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: projections index must be a JSON object")
+    sites = _field(doc, "sites", dict, path, "projections index")
     base = path.parent
     table: ProjectionTable = {}
     for site_value, entry in sites.items():
@@ -234,9 +249,12 @@ def load_projections(path) -> ProjectionTable:
             site = AssignmentSite(site_value)
         except ValueError:
             raise ParseError(f"{path}: unknown assignment site {site_value!r}") from None
+        where = f"site {site_value!r}"
+        if not isinstance(entry, dict):
+            raise ParseError(f"{path}: {where} must be a JSON object")
         mats = {
-            name: _read_named(base / entry[name]).data
+            name: _read_named(base / _field(entry, name, str, path, where)).data
             for name in ("w_q", "w_k", "w_h")
         }
-        table[site] = ProjectionSet(site=site.value, **mats)
+        table[site] = ProjectionSet(**mats)
     return table

@@ -97,9 +97,8 @@ def rank_all(
     ordered as :func:`rank_candidates` orders it. Memory thus grows with
     mentions × catalog: the core holds four score grids of that shape while
     scoring, and the overall grid is kept until every row is ordered.
-    ``threads`` is accepted and ignored: ranking runs in one thread,
-    because with stacked scoring a thread pool only added contention, and
-    results never depended on it.
+    ``threads`` is ignored, since ranking runs in one thread; it stays
+    only until the benchmark harness stops passing it.
     """
     entities = list(entities)
     mentions = list(mentions)

@@ -214,15 +214,10 @@ _MATRIX_NAMES = ("w_q", "w_k", "w_h")
 
 @dataclass(frozen=True)
 class ToyTrainConfig:
-    """Settings for the toy trainer.
-
-    ``fd_step`` is the central-difference step of :func:`fd_gradient`;
-    training takes the exact gradient and does not read it.
-    """
+    """Settings for the toy trainer, which descends the exact gradient."""
 
     steps: int
     lr: float = 1e-2
-    fd_step: float = 1e-4
     objective: str = OBJECTIVE_OT
     include_reverse_sites: bool = False
 
@@ -231,8 +226,6 @@ class ToyTrainConfig:
             raise ConfigError(f"steps must be >= 0, got {self.steps}")
         if not 0 <= self.lr < np.inf:
             raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
-        if not self.fd_step > 0:
-            raise ConfigError(f"fd_step must be positive, got {self.fd_step}")
         if self.objective not in OBJECTIVES:
             raise ConfigError(
                 f"objective must be {OBJECTIVE_OT!r} or {OBJECTIVE_KD!r}, "
@@ -581,17 +574,20 @@ def fd_gradient(
     train: ToyTrainConfig,
     run: RunConfig | None = None,
     coords=None,
+    step: float = 1e-4,
 ) -> dict[tuple[AssignmentSite, str, int, int], float]:
-    """Central-difference gradient of the training objective, step ``fd_step``.
+    """Central-difference gradient of the training objective, step ``step``.
 
     ``coords`` limits the computation to selected
     (site, matrix name, row, column) entries; by default every entry of
     every trainable site is probed. The K probed entries of one
-    (site, matrix) make one ``(2K, 1, d, d)`` stack of it, ``+h`` at each
-    entry and then ``-h``, scored in one objective evaluation; the unit
+    (site, matrix) make one ``(2K, 1, d, d)`` stack of it, ``+step`` at each
+    entry and then ``-step``, scored in one objective evaluation; the unit
     axis broadcasts over the site's stacked legs. It is the reference
     the trainer's exact gradient is tested against.
     """
+    if not step > 0:
+        raise ConfigError(f"step must be positive, got {step}")
     run = _training_run(run, train.objective)
     _guard_sizes(dataset, table)
     state = _objective_state(dataset, table, train, run)
@@ -603,7 +599,6 @@ def fd_gradient(
             for i in range(table[site].dim)
             for j in range(table[site].dim)
         ]
-    h = train.fd_step
     by_matrix: dict[tuple, list] = {}
     for coord in coords:
         by_matrix.setdefault(coord[:2], []).append(coord)
@@ -612,11 +607,11 @@ def fd_gradient(
         _, _, i, j = zip(*group)
         k = np.arange(len(group))
         probes = np.repeat(getattr(table[site], name)[None, None], 2 * k.size, axis=0)
-        probes[k, 0, i, j] += h
-        probes[k + k.size, 0, i, j] -= h
+        probes[k, 0, i, j] += step
+        probes[k + k.size, 0, i, j] -= step
         total = state.row({**table, site: table[site].replace(**{name: probes})}).total
         up, down = np.broadcast_to(total, probes.shape[:1]).reshape(2, -1)
-        grads.update(zip(group, ((up - down) / (2.0 * h)).tolist()))
+        grads.update(zip(group, ((up - down) / (2.0 * step)).tolist()))
     return grads
 
 

@@ -68,7 +68,6 @@ class ProjectionSet:
     w_q: np.ndarray
     w_k: np.ndarray
     w_h: np.ndarray
-    site: str = ""
 
     def __post_init__(self):
         mats = {}

@@ -348,16 +348,10 @@ def test_criterion_09_finite_difference_sanity():
     table = default_projections(4, seed=1)
     worst = 0.0
     for objective in ("ot", "kd"):
-        full = fd_gradient(
-            dataset, table, ToyTrainConfig(steps=0, fd_step=1e-4, objective=objective)
-        )
+        train = ToyTrainConfig(steps=0, objective=objective)
+        full = fd_gradient(dataset, table, train, step=1e-4)
         top = sorted(full, key=lambda c: abs(full[c]), reverse=True)[:12]
-        halved = fd_gradient(
-            dataset,
-            table,
-            ToyTrainConfig(steps=0, fd_step=5e-5, objective=objective),
-            coords=top,
-        )
+        halved = fd_gradient(dataset, table, train, coords=top, step=5e-5)
         for coord in top:
             a, b = full[coord], halved[coord]
             worst = max(worst, abs(a - b) / max(abs(a), abs(b)))

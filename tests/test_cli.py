@@ -164,11 +164,6 @@ class TestLink:
         assert code == 0
         assert "MRR=100.00" in out
 
-    def test_thread_count_invariant_output(self, capsys, fixture_manifest):
-        _, one, _ = run(capsys, "link", fixture_manifest, "--threads", "1")
-        _, four, _ = run(capsys, "link", fixture_manifest, "--threads", "4")
-        assert one == four
-
     def test_missing_gold_exit_5(self, capsys, tmp_path, fixture_manifest):
         doc = json.loads(Path(fixture_manifest).read_text())
         for m in doc["mentions"]:
@@ -198,6 +193,16 @@ class TestLink:
         cfg.write_text(json.dumps({"pool": "median"}))
         code, _, _ = run(capsys, "link", fixture_manifest, "--config", str(cfg))
         assert code == 4
+
+    def test_config_naming_threads_is_an_unknown_field(
+        self, capsys, fixture_manifest, tmp_path
+    ):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"threads": 2}))
+        code, out, err = run(capsys, "link", fixture_manifest, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "threads" in err
 
     def test_link_with_projection_file(self, capsys, fixture_manifest, tmp_path):
         from otmel.correlation import identity_projections
@@ -485,6 +490,23 @@ class TestInputErrors:
         code, _, _ = run(capsys, "link", fixture_manifest, "--proj", str(index))
         assert code == 5
 
+    def test_malformed_manifest_or_projections_index_exit_2(
+        self, capsys, tmp_path, fixture_manifest
+    ):
+        # Wrong JSON types are unparseable input, reported without a traceback.
+        doc = json.loads(Path(fixture_manifest).read_text())
+        bad = Path(fixture_manifest).with_name("bad.json")
+        bad.write_text(json.dumps({**doc, "entities": 5}))
+        code, _, err = run(capsys, "link", str(bad))
+        assert code == 2
+        assert str(bad) in err and "'entities'" in err
+
+        index = tmp_path / "projections.json"
+        index.write_text(json.dumps({"sites": []}))
+        code, _, err = run(capsys, "link", fixture_manifest, "--proj", str(index))
+        assert code == 2
+        assert str(index) in err and "'sites'" in err
+
     # TestDistillGap covers distill-gap.
     @pytest.mark.parametrize(
         "argv",
@@ -529,6 +551,7 @@ class TestInputErrors:
             ("distill-gap", "--threads", "2"),
             ("loss", "--mechanism", "ot"),
             ("loss", "--threads", "2"),
+            ("link", "--threads", "2"),
         ],
     )
     def test_run_flag_the_command_ignores_is_rejected(self, fixture_manifest, argv):

@@ -16,7 +16,7 @@ from otmel.correlation import (
     record_sites,
 )
 from otmel.errors import DimensionError, ZeroNormRowError
-from otmel.ot import SinkhornConfig, exact_ot_uniform_square
+from otmel.ot import SinkhornConfig, TransportPlan, exact_ot_uniform_square
 from otmel.types import FeatureMatrix, MentionRecord, ProjectionSet
 
 from conftest import make_record
@@ -31,8 +31,8 @@ def naive_matmul(a, b):
     return out
 
 
-def eye_set(d, site=""):
-    return ProjectionSet(np.eye(d), np.eye(d), np.eye(d), site=site)
+def eye_set(d):
+    return ProjectionSet(np.eye(d), np.eye(d), np.eye(d))
 
 
 class TestProject:
@@ -178,9 +178,17 @@ class TestOtAssign:
         np.testing.assert_allclose(tripled.a, base.a, atol=1e-15)
 
     def test_plan_diagnostics_attached(self, rng):
-        result = ot_assign(rng.standard_normal((3, 4)), rng.standard_normal((4, 4)), eye_set(4))
-        assert result.mechanism == OT
-        assert result.plan is not None and result.plan.converged
+        dst, src = rng.standard_normal((3, 4)), rng.standard_normal((4, 4))
+        config = SinkhornConfig()
+        result = ot_assign(dst, src, eye_set(4), config)
+        plan = result.plan
+        assert isinstance(plan, TransportPlan)
+        assert plan.data.shape == result.a.shape == (3, 4)
+        np.testing.assert_array_equal(plan.data, result.a)
+        assert plan.converged
+        assert plan.residual <= config.tol
+        assert plan.achieved_marginal_error <= config.tol
+        assert attention_assign(dst, src, eye_set(4)).plan is None
 
 
 class TestAntiDomination:
@@ -240,8 +248,7 @@ class TestProjectionTables:
     def test_identity_covers_all_sites(self):
         table = identity_projections(5)
         assert set(table) == set(AssignmentSite)
-        for site, p in table.items():
-            assert p.site == site.value
+        for p in table.values():
             np.testing.assert_array_equal(p.w_q, np.eye(5))
 
     def test_default_projections_deterministic_and_orthogonal(self):

@@ -187,6 +187,30 @@ class TestManifest:
         with pytest.raises(ParseError):
             load_manifest(path)
 
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            (lambda doc: doc.update(entities=5), "'entities' must be a JSON list"),
+            (lambda doc: doc.update(mentions={}), "'mentions' must be a JSON list"),
+            (lambda doc: doc["entities"].append(5), "entities entry 2 must be a JSON object"),
+            (lambda doc: doc["mentions"][0].update(id=5), "'id' must be a JSON string"),
+            (lambda doc: doc["mentions"][0].update(gold_entity=5), "'gold_entity'"),
+            (lambda doc: doc.update(d="6"), "'d' must be a JSON integer"),
+            (lambda doc: doc.update(d=True), "'d' must be a JSON integer"),
+            (lambda doc: doc.update(d=0), "'d' must be a positive integer"),
+            (lambda doc: doc.update(schema_version=True), "'schema_version'"),
+        ],
+        ids=["entities-int", "mentions-object", "entry-int", "id-int", "gold-int",
+             "d-string", "d-true", "d-zero", "version-true"],
+    )
+    def test_wrong_json_type_is_parse_error(self, rng, tmp_path, change, field):
+        path, doc = write_manifest_tree(tmp_path, rng)
+        change(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=field) as exc:
+            load_manifest(path)
+        assert str(path) in str(exc.value)
+
     def test_gold_optional(self, rng, tmp_path):
         path, doc = write_manifest_tree(tmp_path, rng)
         del doc["mentions"][0]["gold_entity"]
@@ -221,3 +245,36 @@ class TestProjectionsStorage:
         index.write_text(json.dumps(doc))
         with pytest.raises(ParseError):
             load_projections(index)
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            (lambda doc: [doc], "projections index must be a JSON object"),
+            (lambda doc: {**doc, "sites": list(doc["sites"])}, "'sites' must be"),
+            (
+                lambda doc: {**doc, "sites": {**doc["sites"], "m_v2t": "m_v2t.w_q.otml"}},
+                "site 'm_v2t' must be a JSON object",
+            ),
+            (
+                lambda doc: {
+                    **doc,
+                    "sites": {**doc["sites"], "m_v2t": {"w_k": "a.otml", "w_h": "b.otml"}},
+                },
+                "site 'm_v2t' is missing required key 'w_q'",
+            ),
+            (
+                lambda doc: {
+                    **doc,
+                    "sites": {**doc["sites"], "m_v2t": {**doc["sites"]["m_v2t"], "w_k": 1}},
+                },
+                "'w_k' must be a JSON string",
+            ),
+        ],
+        ids=["index-list", "sites-list", "site-string", "site-without-w_q", "w_k-int"],
+    )
+    def test_malformed_index_is_parse_error(self, tmp_path, change, field):
+        index = save_projections(default_projections(4, seed=1), tmp_path / "proj")
+        index.write_text(json.dumps(change(json.loads(index.read_text()))))
+        with pytest.raises(ParseError, match=field) as exc:
+            load_projections(index)
+        assert str(index) in str(exc.value)

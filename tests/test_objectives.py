@@ -696,11 +696,12 @@ class TestToyTrain:
         with pytest.raises(ConfigError):
             toy_train(big_batch, default_projections(12, 0), ToyTrainConfig(steps=1))
 
-    def test_config_validation(self):
+    def test_config_validation(self, tiny_dataset, tiny_table):
         with pytest.raises(ConfigError):
             ToyTrainConfig(steps=-1)
-        with pytest.raises(ConfigError):
-            ToyTrainConfig(steps=1, fd_step=0.0)
+        for step in (0.0, -1e-4, float("nan")):
+            with pytest.raises(ConfigError):
+                fd_gradient(tiny_dataset, tiny_table, ToyTrainConfig(steps=0), step=step)
         for lr in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ConfigError):
                 ToyTrainConfig(steps=1, lr=lr)
@@ -731,16 +732,10 @@ class TestToyTrain:
 class TestFdGradient:
     def test_halving_step_agrees_within_5_percent(self, tiny_dataset, tiny_table):
         for objective in ("ot", "kd"):
-            full = fd_gradient(
-                tiny_dataset, tiny_table,
-                ToyTrainConfig(steps=0, fd_step=1e-4, objective=objective),
-            )
+            train = ToyTrainConfig(steps=0, objective=objective)
+            full = fd_gradient(tiny_dataset, tiny_table, train, step=1e-4)
             top = sorted(full, key=lambda c: abs(full[c]), reverse=True)[:12]
-            halved = fd_gradient(
-                tiny_dataset, tiny_table,
-                ToyTrainConfig(steps=0, fd_step=5e-5, objective=objective),
-                coords=top,
-            )
+            halved = fd_gradient(tiny_dataset, tiny_table, train, coords=top, step=5e-5)
             for coord in top:
                 a, b = full[coord], halved[coord]
                 assert abs(a - b) / max(abs(a), abs(b)) < 0.05

@@ -60,9 +60,8 @@ class TestProjectionSet:
             ProjectionSet(np.eye(3), bad, np.eye(3))
 
     def test_replace_swaps_one_matrix(self, rng):
-        p = ProjectionSet(np.eye(3), np.eye(3), np.eye(3), site="s")
+        p = ProjectionSet(np.eye(3), np.eye(3), np.eye(3))
         q = p.replace(w_k=2 * np.eye(3))
-        assert q.site == "s"
         np.testing.assert_array_equal(q.w_q, np.eye(3))
         np.testing.assert_array_equal(q.w_k, 2 * np.eye(3))
 
