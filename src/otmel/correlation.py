@@ -182,11 +182,16 @@ def cosine_cost(q: np.ndarray, k: np.ndarray) -> CostMatrix:
 
     Leading stack axes of ``q`` and ``k`` broadcast against each other.
     """
+    return CostMatrix(_cosine(q, k))
+
+
+def _cosine(q, k, q_norms=None) -> np.ndarray:
+    """The array of :func:`cosine_cost`, from the queries' row norms if given."""
     q = np.asarray(q, float)
     k = np.asarray(k, float)
     if q.shape[-1] != k.shape[-1]:
         raise DimensionError(f"rows of size {q.shape[-1]} vs {k.shape[-1]}")
-    qn = np.linalg.norm(q, axis=-1)
+    qn = np.linalg.norm(q, axis=-1) if q_norms is None else q_norms
     kn = np.linalg.norm(k, axis=-1)
     if not (qn.all() and kn.all()):
         for name, norms in (("query", qn), ("key", kn)):
@@ -197,7 +202,7 @@ def cosine_cost(q: np.ndarray, k: np.ndarray) -> CostMatrix:
                 )
     cos = (q @ k.swapaxes(-1, -2)) / (qn[..., :, None] * kn[..., None, :])
     np.clip(cos, -1.0, 1.0, out=cos)
-    return CostMatrix(0.5 * (1.0 - cos))
+    return 0.5 * (1.0 - cos)
 
 
 def _transport(q, k, h, config: SinkhornConfig) -> AssignmentResult:
@@ -239,34 +244,40 @@ def assign(
     raise ConfigError(f"unknown mechanism {mechanism!r}")
 
 
-def assignment_stack(
-    parts, mechanism: str, config: SinkhornConfig = SinkhornConfig()
-) -> np.ndarray:
-    """The assignment matrices of several projected ``(Q, K)`` stacks, solved as one.
+def assignment_scores(q, k, mechanism: str, q_norms=None) -> np.ndarray:
+    """What ``mechanism`` turns into assignment matrices, for projected Q and K.
 
-    Each part holds a ``(..., B, n, d)`` query stack and keys that
-    broadcast against it; all parts share n, the key length m and any
-    leading probe axes ahead of the record axis B. Each part's cosine
-    cost (transport) or scaled scores (attention) is built on its own, as
-    :func:`assign` builds it, then the parts are joined on the record
-    axis (-3) and solved by one :func:`~otmel.ot.sinkhorn_stack` or one
-    row softmax. Part by part, the result equals the ``a`` of
-    :func:`assign` on the same projections, bit for bit.
-    ``parts`` may be a generator, so that only one part's Q and K need be
-    alive at a time.
+    The cosine cost for transport, the scaled query-key scores for
+    attention; ``q_norms``, the queries' row norms, spare the cost
+    recomputing them.
     """
     if mechanism == ATTENTION:
-        logits = [attention_logits(q, k) for q, k in parts]
-        return row_softmax(np.concatenate(logits, axis=-3))
+        return attention_logits(q, k)
     if mechanism == OT:
-        costs = [cosine_cost(q, k) for q, k in parts]
-        # A lone part goes in as it is: concatenating would copy and recheck it.
-        if len(costs) == 1:
-            cost = costs[0]
-        else:
-            cost = np.concatenate([c.data for c in costs], axis=-3)
-        marginals = Marginals.uniform(costs[0].n, costs[0].m)
-        return sinkhorn_stack(cost, marginals, config).data
+        return _cosine(q, k, q_norms)
+    raise ConfigError(f"unknown mechanism {mechanism!r}")
+
+
+def assignment_stack(
+    scores, mechanism: str, config: SinkhornConfig = SinkhornConfig()
+) -> np.ndarray:
+    """The assignment matrices of several :func:`assignment_scores` stacks, solved as one.
+
+    Each part is a ``(..., B, n, m)`` stack; all parts share n, m and any
+    leading probe axes ahead of the record axis B. The parts are joined
+    on the record axis (-3) and solved by one
+    :func:`~otmel.ot.sinkhorn_stack` or one row softmax. Part by part, the
+    result equals the ``a`` of :func:`assign` on the same projections, bit
+    for bit.
+    """
+    scores = list(scores)
+    # A lone part goes in as it is: concatenating would copy it.
+    joined = scores[0] if len(scores) == 1 else np.concatenate(scores, axis=-3)
+    if mechanism == ATTENTION:
+        return row_softmax(joined)
+    if mechanism == OT:
+        marginals = Marginals.uniform(*joined.shape[-2:])
+        return sinkhorn_stack(joined, marginals, config).data
     raise ConfigError(f"unknown mechanism {mechanism!r}")
 
 

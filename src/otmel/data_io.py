@@ -242,6 +242,13 @@ def load_projections(path) -> ProjectionTable:
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: projections index must be a JSON object")
     sites = _field(doc, "sites", dict, path, "projections index")
+    version = _field(doc, "schema_version", int, path, "projections index")
+    if version != MANIFEST_SCHEMA_VERSION:
+        raise ParseError(
+            f"{path}: projections index schema_version {version}, "
+            f"expected {MANIFEST_SCHEMA_VERSION}"
+        )
+    d = _field(doc, "d", int, path, "projections index")
     base = path.parent
     table: ProjectionTable = {}
     for site_value, entry in sites.items():
@@ -257,4 +264,9 @@ def load_projections(path) -> ProjectionTable:
             for name in ("w_q", "w_k", "w_h")
         }
         table[site] = ProjectionSet(**mats)
+        if table[site].dim != d:
+            raise ParseError(
+                f"{path}: projections index field 'd' is {d}, "
+                f"but {where} has {table[site].dim}x{table[site].dim} matrices"
+            )
     return table

@@ -11,6 +11,7 @@ through it.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Union
@@ -31,8 +32,8 @@ from .correlation import (
     ProjectionTable,
     RecordInteraction,
     assign,
+    assignment_scores,
     assignment_stack,
-    project,
     record_sites,
 )
 from .errors import ConfigError, DimensionError
@@ -190,6 +191,103 @@ def _hit(cache: dict, record):
     return entry[1] if entry is not None and entry[0] is record else None
 
 
+def _per_solve(n: int, m: int, d: int) -> int:
+    """Problems of shape ``n x m`` one solve may hold.
+
+    As many as keep it within one block's ``(_BLOCK, n, d)`` transported
+    features, so no temporary grows with the catalog.
+    """
+    return _BLOCK * max(1, d // max(n, m))
+
+
+class _Solves:
+    """The assignment problems of one scoring call, solved in few stacks.
+
+    A job is ``count`` problems of one shape (probe axes, n, m) and a
+    builder of their :func:`~otmel.correlation.assignment_scores`, stacked
+    on one record axis, and of the callback that takes their assignment
+    matrices. Jobs of one shape are joined into one
+    :func:`~otmel.correlation.assignment_stack` as long as it stays within
+    :func:`_per_solve`; a stack that reaches it is solved at once. So
+    batch solves keep their sizes, and the few small jobs of one online
+    mention share one solve. A job is built only once the stack it joins
+    has room, so no two stacks of one shape are alive at once.
+    """
+
+    def __init__(self, mechanism: str, config: SinkhornConfig):
+        self.mechanism, self.config = mechanism, config
+        self._open: dict[tuple, tuple[int, list]] = {}
+
+    def add(self, proj, n: int, m: int, count: int, build) -> None:
+        """Add ``count`` problems of shape ``n x m`` at a site under ``proj``.
+
+        ``build()`` returns their scores and callback; it runs once the
+        open stack of their shape has room for them.
+        """
+        probes = np.broadcast_shapes(proj.w_q.shape[:-2], proj.w_k.shape[:-2])[:-1]
+        key = probes, n, m
+        limit = _per_solve(n, m, proj.dim)
+        held, jobs = self._open.pop(key, (0, []))
+        if jobs and held + count > limit:
+            self._solve(jobs)
+            held, jobs = 0, []
+        jobs.append(build())
+        if held + count >= limit:
+            self._solve(jobs)
+        else:
+            self._open[key] = held + count, jobs
+
+    def finish(self) -> None:
+        """Solve every job still waiting."""
+        for _, jobs in self._open.values():
+            self._solve(jobs)
+        self._open.clear()
+
+    def _solve(self, jobs) -> None:
+        a = assignment_stack([s for s, _ in jobs], self.mechanism, self.config)
+        start = 0
+        for scores, take in jobs:
+            stop = start + scores.shape[-3]
+            take(a[..., start:stop, :, :])
+            start = stop
+
+
+@dataclass(frozen=True)
+class _Block:
+    """A block of catalog entities of one length at one unimodal site.
+
+    ``index`` holds their catalog positions; ``q`` their rows projected
+    to queries (probe axes lead), ``q_norms`` the queries' row norms and
+    ``summary`` their summary rows.
+    """
+
+    index: list[int]
+    q: np.ndarray
+    q_norms: np.ndarray
+    summary: np.ndarray
+
+
+@dataclass
+class _Catalog:
+    """What scoring reads of one entity list, built once for every call on it.
+
+    ``blocks`` maps each unimodal site to its :class:`_Block` list;
+    ``pooled`` holds the entities' pooled (text, visual) stacks, shaped
+    to broadcast against a mention axis, once the fused score has read
+    them.
+    """
+
+    entities: list
+    blocks: dict
+    pooled: tuple | None = None
+
+    def matches(self, entities) -> bool:
+        """Whether ``entities`` is this very list of entity objects, in order."""
+        return len(entities) == len(self.entities) and all(
+            a is b for a, b in zip(entities, self.entities)
+        )
+
+
 @dataclass(frozen=True)
 class CatalogScores:
     """Match scores against each entity, in catalog order.
@@ -220,11 +318,15 @@ class CatalogScores:
 class Scorer:
     """Scores a mention against a catalog of entities under one configuration.
 
-    Per-record work is cached by record object: each record's pooled
-    vectors, and the projected unimodal queries of the last catalog
-    scored, block by block. Each entry keeps its records alive until
-    :meth:`clear` and is used only for those same objects, so a recycled
-    ``id()`` never returns another record's result.
+    Two things are kept between calls. Each record's pooled vectors are
+    cached by record object; each entry keeps its record alive until
+    :meth:`clear` and is used only for that same object, so a recycled
+    ``id()`` never returns another record's result. And one prepared
+    catalog: for the last entity list scored, matched element by element
+    by identity, each unimodal site's blocks of projected queries, their
+    norms and summary rows, and the entities' pooled stacks. Ranking
+    mentions one at a time against a catalog thus builds them once, and
+    the scorer holds at most one catalog's worth.
     :meth:`score_grid` is the one scoring core: it scores a block of
     mentions against a whole catalog in stacked array operations, solving
     many pairs' transport problems in one stack. Every score equals, bit
@@ -244,7 +346,7 @@ class Scorer:
         self.config = config
         self._solver_config = config.sinkhorn_config()
         self._pooled: dict[int, tuple[object, tuple[np.ndarray, np.ndarray]]] = {}
-        self._queries: dict[object, dict[tuple, tuple[tuple, np.ndarray]]] = {}
+        self._catalog: _Catalog | None = None
 
     @property
     def uses_fused(self) -> bool:
@@ -255,13 +357,13 @@ class Scorer:
         return ABLATION_NO_UNIMODAL not in self.config.ablations
 
     def clear(self) -> None:
-        """Empty both record caches, so that the scorer keeps no record alive.
+        """Empty the record cache and the catalog, so the scorer keeps no record alive.
 
         A long-lived scorer otherwise holds every record it has scored.
         Later scores equal earlier ones; the cleared work is redone on use.
         """
         self._pooled.clear()
-        self._queries.clear()
+        self._catalog = None
 
     def pooled(self, record) -> tuple[np.ndarray, np.ndarray]:
         """The record's pooled (text, visual) vectors; a miss warms it alone."""
@@ -274,10 +376,19 @@ class Scorer:
 
         Records of one kind and one (text, visual) shape form a group,
         which is projected, transported and pooled in blocks of at most
-        ``_BLOCK`` records. The cost stacks of consecutive blocks are solved
-        together, as many blocks per solve as keep it within one block's
-        ``(_BLOCK, n, d)`` transported features; a record alone in its
-        group is a stack of one.
+        ``_BLOCK`` records. Each cross-modal site solves the cost stacks
+        of consecutive blocks together, as many blocks per solve as
+        :func:`_per_solve` allows; smaller stacks of one shape share a
+        solve, so the two directions of one record are one solve.
+        """
+        solves = _Solves(self.config.mechanism, self._solver_config)
+        self._gather_pooled(records, solves)
+        solves.finish()
+
+    def _gather_pooled(self, records, solves: _Solves) -> None:
+        """Add the cross-modal jobs of records not cached yet to ``solves``.
+
+        Each chunk of records is cached once both its directions are solved.
         """
         groups: dict[tuple, dict[int, object]] = {}
         for r in records:
@@ -286,150 +397,185 @@ class Scorer:
                 groups.setdefault(key, {})[id(r)] = r
         for group in groups.values():
             group = list(group.values())
-            sites = record_sites(group[0])
             (n_t, d), n_v = group[0].text.data.shape, group[0].visual.rows
-            for chunk in _chunks(group, _BLOCK * max(1, d // max(n_t, n_v))):
-                blocks = _chunks(chunk, _BLOCK)
-                # Each direction is pooled as soon as it is solved, so the
-                # two directions' temporaries are never all alive at once.
-                text, visual = (self._pool_transported(blocks, s) for s in sites)
-                # Rows of a moved-axis view restack about twice as slowly.
-                per_record = (
-                    x if x.ndim == 2 else np.moveaxis(x, -2, 0) for x in (text, visual)
-                )
-                for r, pair in zip(chunk, zip(*per_record)):
-                    self._pooled[id(r)] = (r, pair)
+            for chunk in _chunks(group, _per_solve(n_t, n_v, d)):
+                out = [None, None]
+                for slot, site in enumerate(record_sites(group[0])):
+                    _, dst, _, src = SITE_LEGS[site]
+                    n, m = getattr(chunk[0], dst).rows, getattr(chunk[0], src).rows
+                    job = functools.partial(self._cross_modal_job, chunk, site, out, slot)
+                    solves.add(self.projections[site], n, m, len(chunk), job)
 
-    def _pool_transported(self, blocks, site) -> np.ndarray:
-        """Each record's destination rows pooled with the source rows moved onto them.
+    def _cross_modal_job(self, chunk, site, out: list, slot: int):
+        """One cross-modal site's job for ``chunk``, a list of records of one shape.
 
-        ``blocks`` are lists of records of one shape. Their assignments are
-        one solve; the rest is done one block at a time, so only the
-        solve's cost stack spans the blocks.
+        Returns the job's scores and the callback that pools each record's
+        destination rows with the source rows moved onto them into
+        ``out[slot]``, and caches the chunk once ``out`` is full. Only the
+        scores span the chunk; the rest is done one block of at most
+        ``_BLOCK`` records at a time.
         """
         _, dst, _, src = SITE_LEGS[site]
         proj = self.projections[site]
+        for attr in (dst, src):
+            _fitted(getattr(chunk[0], attr), proj)
+        blocks = _chunks(chunk, _BLOCK)
 
         def rows(block, attr: str) -> np.ndarray:
             return np.array([getattr(r, attr).data for r in block])
 
-        values = []
+        scores = [
+            assignment_scores(
+                rows(b, dst) @ proj.w_q, rows(b, src) @ proj.w_k, self.config.mechanism
+            )
+            for b in blocks
+        ]
 
-        def parts():
-            # One block's Q and K at a time; only its H is kept for transport.
+        def take(a):
+            pooled, start = [], 0
             for block in blocks:
-                q, k, h = project(rows(block, dst), rows(block, src), proj)
-                values.append(h)
-                yield q, k
+                # A block's H is made only now: a waiting job holds just its scores.
+                h = rows(block, src) @ proj.w_h
+                g = a[..., start : start + len(block), :, :] @ h
+                start += len(block)
+                x = rows(block, dst)
+                if x.shape != g.shape:
+                    x = np.broadcast_to(x, g.shape)
+                pooled.append(stack_pool([x, g], self.config.pool))
+            out[slot] = np.concatenate(pooled, axis=-2)
+            if all(x is not None for x in out):
+                # Rows of a moved-axis view restack about twice as slowly.
+                per_record = (x if x.ndim == 2 else np.moveaxis(x, -2, 0) for x in out)
+                for r, pair in zip(chunk, zip(*per_record)):
+                    self._pooled[id(r)] = (r, pair)
 
-        a = assignment_stack(parts(), self.config.mechanism, self._solver_config)
-        pooled, start = [], 0
-        for block, h in zip(blocks, values):
-            g = a[..., start : start + len(block), :, :] @ h
-            start += len(block)
-            x = rows(block, dst)
-            if x.shape != g.shape:
-                x = np.broadcast_to(x, g.shape)
-            pooled.append(stack_pool([x, g], self.config.pool))
-        return np.concatenate(pooled, axis=-2)
+        joined = scores[0] if len(scores) == 1 else np.concatenate(scores, axis=-3)
+        return joined, take
 
-    def _block_queries(self, blocks, site) -> list[np.ndarray]:
-        """Each block of entities' rows at a unimodal site, projected to queries.
+    def _prepared(self, entities) -> _Catalog:
+        """The prepared catalog of ``entities``, built anew unless it is the last one."""
+        if self._catalog is not None and self._catalog.matches(entities):
+            return self._catalog
+        blocks = {}
+        if self.uses_unimodal:
+            for site in UNIMODAL_SITES:
+                proj = self.projections[site]
+                sides = [getattr(e, SITE_LEGS[site][1]) for e in entities]
+                blocks[site] = []
+                for rows in _by_rows(sides):
+                    for index in _chunks(rows, _BLOCK):
+                        # Each entity is projected alone, as a lone pair projects it.
+                        q = np.concatenate(
+                            [_fitted(sides[j], proj)[None] @ proj.w_q for j in index],
+                            axis=-3,
+                        )
+                        summary = np.array([sides[j].summary for j in index])
+                        norms = np.linalg.norm(q, axis=-1)
+                        blocks[site].append(_Block(index, q, norms, summary))
+        self._catalog = _Catalog(list(entities), blocks)
+        return self._catalog
 
-        Each entity is projected alone and a block is joined on a record
-        axis. The stacks of the last call's blocks are kept for those very
-        entity objects, so ranking mentions one at a time against a catalog
-        builds them once, not once per mention (a fresh stack per mention
-        also costs page faults whenever the allocator maps it anew), and
-        the cache never holds more than one catalog's stacks per site.
+    def _gather_unimodal(self, mentions, catalog: _Catalog, site, solves: _Solves):
+        """Add one unimodal site's jobs, every mention against every entity, to ``solves``.
+
+        Entities come in the catalog's blocks of one length; mentions are
+        grouped by sequence length. Against each block, a chunk of a
+        group's mentions is one job, as many mentions as keep it within
+        :func:`_per_solve`. Groups are never padded, since padding would
+        change the uniform marginals. Returns a list whose one item
+        becomes the site's score grid as the jobs are solved.
         """
         proj = self.projections[site]
-        attr = SITE_LEGS[site][1]
-        previous = self._queries.get(site, {})
-        kept = self._queries[site] = {}
-        stacks = []
-        for block in blocks:
-            key = tuple(map(id, block))
-            entry = previous.get(key)
-            if entry is None or any(a is not b for a, b in zip(entry[0], block)):
-                rows = [_fitted(getattr(e, attr), proj)[None] @ proj.w_q for e in block]
-                entry = (tuple(block), np.concatenate(rows, axis=-3))
-            kept[key] = entry
-            stacks.append(entry[1])
-        return stacks
-
-    def _unimodal(self, mentions, entities, site) -> np.ndarray:
-        """One unimodal site's scores of every mention against every entity.
-
-        Entities are grouped by sequence length, then blocked by
-        ``_BLOCK``; mentions are grouped by sequence length. Against each
-        entity block, a chunk of a group's mentions is one cost stack and
-        one solve, as many mentions as keep it within one block's
-        ``(_BLOCK, n, d)`` transported features; it is transported and
-        pooled in slices that each stay within that bound too. Groups are
-        never padded, since padding would change the uniform marginals.
-        """
-        _, e_attr, _, m_attr = SITE_LEGS[site]
-        proj = self.projections[site]
-        sides = [getattr(m, m_attr) for m in mentions]
-        entity_sides = [getattr(e, e_attr) for e in entities]
-        blocks = [b for rows in _by_rows(entity_sides) for b in _chunks(rows, _BLOCK)]
-        groups = _by_rows(sides)
-        grid, values = (len(mentions), len(entities)), None
-        members = [[entities[j] for j in block] for block in blocks]
-        for block, queries in zip(blocks, self._block_queries(members, site)):
-            # Probe axes lead; the chunk's mention axis goes before the block's.
-            q = queries[..., None, :, :, :]
-            t_e = np.array([entity_sides[j].summary for j in block])
-            step = max(1, _BLOCK // len(block))
-            for group in groups:
-                per_solve = _BLOCK * proj.dim // (len(block) * sides[group[0]].rows)
-                for chunk in _chunks(group, max(1, per_solve)):
-                    x = np.array([_fitted(sides[i], proj) for i in chunk])
-                    k = (x @ proj.w_k)[..., None, :, :]
-                    a = assignment_stack(
-                        [(q, k)], self.config.mechanism, self._solver_config
+        sides = [getattr(m, SITE_LEGS[site][3]) for m in mentions]
+        grid, width = [None], len(catalog.entities)
+        for block in catalog.blocks[site]:
+            n, count = block.q.shape[-2], len(block.index)
+            for group in _by_rows(sides):
+                m = sides[group[0]].rows
+                per_solve = max(1, _per_solve(n, m, proj.dim) // count)
+                for chunk in _chunks(group, per_solve):
+                    job = functools.partial(
+                        self._unimodal_job, proj, block, sides, chunk, grid, width
                     )
-                    t_m = np.array([sides[i].summary for i in chunk])[:, None]
-                    for s in range(0, len(chunk), step):
-                        cut = slice(s, s + step)
-                        h = (x[cut] @ proj.w_h)[..., None, :, :]
-                        g = a[..., cut, :, :, :] @ h
-                        v = _unimodal_value(g, t_m[cut], t_e, self.config.pool)
-                        if values is None:
-                            values = np.empty(v.shape[:-2] + grid)
-                        values[..., np.array(chunk[cut])[:, None], block] = v
-        return values
+                    solves.add(proj, n, m, len(chunk) * count, job)
+        return grid
+
+    def _unimodal_job(self, proj, block: _Block, sides, chunk, grid: list, width: int):
+        """The unimodal job of mentions ``chunk`` of ``sides`` against one block.
+
+        Returns the job's scores and the callback that writes their scores
+        into ``grid[0]``, an ``(M, width)`` grid after any probe axes. It
+        transports and pools in slices of mentions that each stay within
+        :func:`_per_solve` too.
+        """
+        x = np.array([_fitted(sides[i], proj) for i in chunk])
+        k = (x @ proj.w_k)[..., None, :, :]
+        # Probe axes lead; the chunk's mention axis goes before the block's.
+        q, q_norms = block.q[..., None, :, :, :], block.q_norms[..., None, :, :]
+        scores = assignment_scores(q, k, self.config.mechanism, q_norms)
+        t_m = np.array([sides[i].summary for i in chunk])[:, None]
+        step = max(1, _BLOCK // len(block.index))
+
+        def take(a):
+            a = a.reshape(a.shape[:-3] + (len(chunk), -1) + a.shape[-2:])
+            for s in range(0, len(chunk), step):
+                cut = slice(s, s + step)
+                h = (x[cut] @ proj.w_h)[..., None, :, :]
+                g = a[..., cut, :, :, :] @ h
+                v = _unimodal_value(g, t_m[cut], block.summary, self.config.pool)
+                if grid[0] is None:
+                    grid[0] = np.empty(v.shape[:-2] + (len(sides), width))
+                grid[0][..., np.array(chunk[cut])[:, None], block.index] = v
+
+        return scores.reshape(scores.shape[:-4] + (-1,) + scores.shape[-2:]), take
 
     def score_grid(self, mentions, entities) -> CatalogScores:
         """Every mention's match scores against each entity, in catalog order.
 
         The scoring core of ranking and of the batch losses; a block of
-        one mention is the online path. The fused scores are one broadcast
-        product of pooled vectors. Each unimodal site solves the cost
-        stacks of many mentions against a block of entities as one stack.
-        A score depends only on its own mention and entity, never on what
-        else shares the call. Ablated components read 0. Each field is an
-        ``(M, E)`` grid, so a call holds four floats per pair. Under a
-        table entry with ``(P, 1, d, d)`` probe matrices, every field the
-        entry feeds is a ``(P, M, E)`` grid, one per probe.
+        one mention is the online path. One call gathers every transport
+        problem it needs: the cross-modal ones of records not pooled yet,
+        and each unimodal site's ones for each block of entities and
+        chunk of mentions. Problems of one shape are solved together, as
+        many per solve as :func:`_per_solve` allows, so one online
+        mention against a catalog of E entities of its own shape solves
+        its 2 + 2·E problems in one stack. The fused scores are then one
+        broadcast product of pooled vectors. A score depends only on its
+        own mention and entity, never on what else shares the call.
+        Ablated components read 0. Each field is an ``(M, E)`` grid, so a
+        call holds four floats per pair. Under a table entry with
+        ``(P, 1, d, d)`` probe matrices, every field the entry feeds is a
+        ``(P, M, E)`` grid, one per probe.
         """
         mentions, entities = list(mentions), list(entities)
         shape = (len(mentions), len(entities))
         if not (mentions and entities):
             return CatalogScores(*np.zeros((4, *shape)))
+        catalog = self._prepared(entities)
+        solves = _Solves(self.config.mechanism, self._solver_config)
         s_f, s_t, s_v = np.zeros(shape), np.zeros(shape), np.zeros(shape)
         parts = []
         if self.uses_fused:
-            self.warm(entities + mentions)
+            records = mentions if catalog.pooled is not None else entities + mentions
+            self._gather_pooled(records, solves)
+        if self.uses_unimodal:
+            grids = [
+                self._gather_unimodal(mentions, catalog, s, solves)
+                for s in UNIMODAL_SITES
+            ]
+        solves.finish()
+        if self.uses_fused:
+            if catalog.pooled is None:
+                pooled = (_records(v) for v in zip(*map(self.pooled, entities)))
+                catalog.pooled = tuple(x[..., None, :, :] for x in pooled)
             m_text, m_vis = (_records(v) for v in zip(*map(self.pooled, mentions)))
-            e_text, e_vis = (_records(v) for v in zip(*map(self.pooled, entities)))
-            m_text, m_vis = m_text[..., :, None, :], m_vis[..., :, None, :]
-            e_text, e_vis = e_text[..., None, :, :], e_vis[..., None, :, :]
-            s_f = _rowdot(m_text, e_text) + _rowdot(m_vis, e_vis)
+            e_text, e_vis = catalog.pooled
+            s_f = _rowdot(m_text[..., :, None, :], e_text) + _rowdot(
+                m_vis[..., :, None, :], e_vis
+            )
             parts.append(s_f)
         if self.uses_unimodal:
-            s_t, s_v = (self._unimodal(mentions, entities, s) for s in UNIMODAL_SITES)
+            s_t, s_v = (values[0] for values in grids)
             parts.extend([s_t, s_v])
         return CatalogScores(s_f, s_t, s_v, sum(parts) / len(parts))
 

@@ -35,6 +35,7 @@ from .correlation import (
     UNIMODAL_SITES,
     AssignmentSite,
     ProjectionTable,
+    assignment_scores,
     assignment_stack,
     attention_logits,
     cosine_cost,
@@ -294,7 +295,10 @@ class _BatchObjective:
         for group in _groups(shapes):
             parts = [self._parts[p] for p in group]
             plans = assignment_stack(
-                (project(dst, src, table[site])[:2] for site, _, dst, src in parts),
+                (
+                    assignment_scores(*project(dst, src, table[site])[:2], OT)
+                    for site, _, dst, src in parts
+                ),
                 OT,
                 run.sinkhorn_config(),
             )
@@ -522,7 +526,9 @@ def _transported_grads(dst, src, proj, d_pooled, run, pooled_with=None) -> np.nd
     ``d_pooled``.
     """
     q, k, h = project(dst, src, proj)
-    a = assignment_stack([(q, k)], run.mechanism, run.sinkhorn_config())
+    a = assignment_stack(
+        [assignment_scores(q, k, run.mechanism)], run.mechanism, run.sinkhorn_config()
+    )
     g = a @ h
     x = g if pooled_with is None else np.concatenate([pooled_with, g], axis=-2)
     d_g = _pool_grad(x, d_pooled, run.pool)[..., -g.shape[-2]:, :]

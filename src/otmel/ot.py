@@ -11,9 +11,9 @@ diagnostics (cost, entropy).
 
 Costs and plans may carry leading stack axes: a ``(..., n, m)`` cost is
 a stack of independent ``n x m`` problems. :func:`sinkhorn` solves one
-problem; :func:`sinkhorn_stack` solves a stack in one scaling loop, with
-each problem giving the same result, bit for bit, as :func:`sinkhorn` on
-it alone.
+problem; :func:`sinkhorn_stack` solves a stack in one scaling loop, whose
+last two problems finish in the one-problem loop, with each problem
+giving the same result, bit for bit, as :func:`sinkhorn` on it alone.
 
 Both loops check the marginal error once per run of scaling pairs, not
 after every pair: a run keeps its iterates and computes all their errors
@@ -45,6 +45,9 @@ KERNEL_FLOOR = 1e-300
 # Longest run of scaling pairs between two checks of the marginal error
 # in a one-problem solve; a stack's runs are a quarter as long.
 _MAX_RUN = 32
+
+# Active problems few enough that a stack hands each to the 2-D loop.
+_HANDOFF = 2
 
 
 @dataclass(frozen=True)
@@ -229,23 +232,20 @@ def _rounded(kernel, v, kv, kv_prev, marginals: Marginals):
     shrinks exactly the rows above mu, with positive divisors even where mu
     is 0. The last v update left every column at nu and shrinking rows
     only lowers columns, so the column shrink of Alg. 2 is skipped. A
-    rank-1 term then refills the row and column deficits, clamped at 0,
-    in every problem with a row deficit. Takes one 2-D problem or a
-    ``(B, n, m)`` stack.
+    rank-1 term then refills the row and column deficits, clamped at 0:
+    its column shares are 0 in a problem with no row deficit, whose term
+    is then 0. Takes one 2-D problem or a ``(B, n, m)`` stack.
     """
     mu, nu = marginals.mu, marginals.nu
     u = mu / np.maximum(kv, kv_prev)
     row_deficit = np.maximum(mu - u * kv, 0.0)
     col_deficit = np.maximum(nu - v * _matvec(kernel.swapaxes(-1, -2), u), 0.0)
     plan = u[..., :, None] * kernel * v[..., None, :]
-    deficit = row_deficit.sum(axis=-1)
-    if plan.ndim == 2:
-        if deficit > 0:
-            plan += row_deficit[:, None] * (col_deficit / deficit)
-    else:
-        short = np.flatnonzero(deficit > 0)
-        share = col_deficit[short] / deficit[short, None]
-        plan[short] += row_deficit[short, :, None] * share[:, None, :]
+    deficit = row_deficit.sum(axis=-1, keepdims=True)
+    share = np.divide(
+        col_deficit, deficit, out=np.zeros_like(col_deficit), where=deficit > 0
+    )
+    plan += row_deficit[..., :, None] * share[..., None, :]
     achieved = (
         np.abs(plan.sum(axis=-1) - mu).sum(axis=-1)
         + np.abs(plan.sum(axis=-2) - nu).sum(axis=-1)
@@ -284,17 +284,32 @@ def sinkhorn(
             f"sinkhorn solves one 2-D problem, got shape {kernel.shape}; "
             "use sinkhorn_stack for a stack"
         )
-    return _scaled(kernel, clamped, marginals, config)
+    v, kv, kv_prev, err, done = _scaled(kernel, marginals, config)
+    plan, achieved = _rounded(kernel, v, kv, kv_prev, marginals)
+    return TransportPlan(
+        data=plan,
+        achieved_marginal_error=float(achieved),
+        iterations_used=done,
+        converged=bool(err < config.tol and not clamped),
+        residual=float(err),
+    )
 
 
-def _scaled(kernel, clamped, marginals, config: SinkhornConfig) -> TransportPlan:
-    """The 2-D scaling loop of :func:`sinkhorn` on its kernel, then rounding."""
+def _scaled(kernel, marginals, config: SinkhornConfig, kv=None, done: int = 0):
+    """The 2-D scaling loop of :func:`sinkhorn` on its kernel.
+
+    Starts from all-ones scaling vectors, or resumes a solve ``done``
+    pairs in from its ``kv = K v``, as :func:`sinkhorn_stack` hands over
+    its last problems; either way it stops at the pair where one
+    uninterrupted solve stops. Returns that pair's ``v``, its ``K v``
+    after and before the pair, its L1 marginal error and the pairs done.
+    """
     mu, nu = marginals.mu, marginals.nu
     tol, max_iter = config.tol, config.max_iter
     dot, dot_t = kernel.dot, kernel.T.dot
-    kv = dot(np.ones(kernel.shape[1]))
+    if kv is None:
+        kv = dot(np.ones(kernel.shape[1]))
     rows = None
-    done = 0
     while True:
         # Single pairs until four are done, so fast solves allocate no
         # buffers; then half the pairs done, so a solve overshoots its
@@ -330,16 +345,7 @@ def _scaled(kernel, clamped, marginals, config: SinkhornConfig) -> TransportPlan
             err, v, kv, kv_prev = errs[j], vs[j], kvs[j + 1], kvs[j]
             done += j + 1
         if err < tol or done == max_iter:
-            break
-
-    plan, achieved = _rounded(kernel, v, kv, kv_prev, marginals)
-    return TransportPlan(
-        data=plan,
-        achieved_marginal_error=float(achieved),
-        iterations_used=done,
-        converged=bool(err < tol and not clamped),
-        residual=float(err),
-    )
+            return v, kv, kv_prev, err, done
 
 
 def sinkhorn_stack(
@@ -353,27 +359,21 @@ def sinkhorn_stack(
     updates every problem still active. Errors are checked once per run
     of pairs, and a problem's plan is built from the first pair under
     ``tol``, the pair where :func:`sinkhorn` on it alone stops; problems
-    that stopped leave the active set at the end of the run. Each problem
-    is rounded the same way, so each plan and each diagnostic equals that
-    solve's, bit for bit, whatever else shares the stack. The returned
-    plan has the cost's shape and carries its diagnostics as arrays over
-    the leading axes. A stack holding one problem is solved by
-    :func:`sinkhorn`'s 2-D loop, which writes its runs into buffers through
-    ``ndarray.dot`` (the same gemv as ``matmul``) and does less per pair.
+    that stopped leave the active set at the end of the run. Once at
+    most :data:`_HANDOFF` problems are active, each finishes in
+    :func:`sinkhorn`'s 2-D loop, resumed from its ``K v`` and pair count:
+    a stack's pair costs several times a 2-D pair, and at high sharpness
+    the slowest problems, which often come in twos such as one record's
+    two cross-modal directions, run hundreds of pairs after the rest have
+    stopped. Each problem is rounded the same way, so each plan
+    and each diagnostic equals that solve's, bit for bit, whatever else
+    shares the stack. The returned plan has the cost's shape and carries
+    its diagnostics as arrays over the leading axes.
     """
     kernel, clamped = _kernel(cost, marginals, config)
     shape = kernel.shape
     n, m = shape[-2:]
     lead = shape[:-2]
-    if kernel.size == n * m:
-        one = _scaled(kernel.reshape(n, m), bool(clamped.any()), marginals, config)
-        return TransportPlan(
-            data=one.data.reshape(shape),
-            achieved_marginal_error=np.full(lead, one.achieved_marginal_error),
-            iterations_used=np.full(lead, one.iterations_used),
-            converged=np.full(lead, one.converged),
-            residual=np.full(lead, one.residual),
-        )
     kernel = kernel.reshape(-1, n, m)
     mu, nu = marginals.mu, marginals.nu
     count = kernel.shape[0]
@@ -386,10 +386,12 @@ def sinkhorn_stack(
     # Rows of the active problems, compacted at the end of each run in
     # which some of them stop.
     active = np.arange(count)
-    k_act = kernel
-    kv_act = _matvec(kernel, np.ones((count, m)))
+    # A stack of _HANDOFF problems or fewer goes straight to the 2-D loop.
+    k_act, kv_act = kernel, [None] * count
+    if count > _HANDOFF:
+        kv_act = _matvec(kernel, np.ones((count, m)))
     done = 0
-    while active.size:
+    while active.size > _HANDOFF:
         # Shorter runs than one problem's: a problem that stops inside a
         # run is still updated, with the rest of the stack, until it ends.
         steps = done // 2 or 1
@@ -420,6 +422,11 @@ def sinkhorn_stack(
             iterations[finished] = done - steps + 1 + j
             keep = ~stop
             active, k_act, kv_act = active[keep], k_act[keep], kv_act[keep]
+    # The last active problems finish in the 2-D loop, resumed at this pair.
+    for b, kv_b in zip(active, kv_act):
+        v[b], kv[b], kv_prev[b], residual[b], iterations[b] = _scaled(
+            kernel[b], marginals, config, kv_b, done
+        )
 
     plan, achieved = _rounded(kernel, v, kv, kv_prev, marginals)
     return TransportPlan(

@@ -269,8 +269,29 @@ class TestProjectionsStorage:
                 },
                 "'w_k' must be a JSON string",
             ),
+            (lambda doc: {**doc, "schema_version": 9}, "schema_version 9, expected 1"),
+            (
+                lambda doc: {**doc, "schema_version": True},
+                "'schema_version' must be a JSON integer",
+            ),
+            (
+                lambda doc: {k: v for k, v in doc.items() if k != "schema_version"},
+                "missing required key 'schema_version'",
+            ),
+            (lambda doc: {**doc, "d": 99}, "field 'd' is 99, but site"),
+            (lambda doc: {**doc, "schema_version": 9, "d": 99}, "schema_version 9"),
+            (lambda doc: {**doc, "d": "4"}, "'d' must be a JSON integer"),
+            (lambda doc: {**doc, "d": 4.0}, "'d' must be a JSON integer"),
+            (
+                lambda doc: {k: v for k, v in doc.items() if k != "d"},
+                "missing required key 'd'",
+            ),
         ],
-        ids=["index-list", "sites-list", "site-string", "site-without-w_q", "w_k-int"],
+        ids=[
+            "index-list", "sites-list", "site-string", "site-without-w_q", "w_k-int",
+            "schema-9", "schema-true", "schema-missing", "d-99", "schema-9-d-99",
+            "d-string", "d-float", "d-missing",
+        ],
     )
     def test_malformed_index_is_parse_error(self, tmp_path, change, field):
         index = save_projections(default_projections(4, seed=1), tmp_path / "proj")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from otmel.config import RunConfig
-from otmel.correlation import identity_projections
+from otmel.correlation import default_projections, identity_projections
 from otmel.errors import DataError
 from otmel.evaluation import (
     RankingResult,
@@ -193,6 +193,36 @@ class TestRankAll:
             rank_candidates(m, entities, online, evaluate=evaluate) for m in mentions
         ]
         assert all((r.rank_of_gold is None) != evaluate for r in batch)
+
+    @pytest.mark.parametrize("ablation", [(), ("no_fusm",), ("no_unim",)])
+    @pytest.mark.parametrize("lengths", [(3, 5), (4, 4)])
+    @pytest.mark.parametrize("mechanism", ["ot", "attention"])
+    def test_online_fresh_mentions_equal_batch_rows(self, mechanism, lengths, ablation):
+        # An online call on a mention not pooled yet, against a prepared
+        # catalog, solves its cross-modal and unimodal problems together
+        # where they share a shape: all of them at equal text and visual
+        # lengths, none at unequal ones.
+        text_len, visual_len = lengths
+        spec = FixtureSpec(
+            seed=11, d=8, n_entities=6, n_mentions=7,
+            text_len=text_len, visual_len=visual_len, noise_sigma=0.5,
+        )
+        ds, _ = make_dataset(spec)
+        table = default_projections(8, seed=3, scale=1.5)
+        run = RunConfig(
+            mechanism=mechanism, sharpness=30.0, ablations=frozenset(ablation)
+        )
+        batch = rank_all(ds.mentions, ds.entities, Scorer(table, run))
+        grid = Scorer(table, run).score_grid(ds.mentions, ds.entities)
+        ranker, scorer = Scorer(table, run), Scorer(table, run)
+        for s in (ranker, scorer):
+            s.warm(ds.entities)
+        for i, mention in enumerate(ds.mentions):
+            assert rank_candidates(mention, ds.entities, ranker) == batch[i]
+            row = scorer.score_all(mention, ds.entities)
+            for kind in ("s_f", "s_t", "s_v", "s_o"):
+                expected = getattr(grid.mention(i), kind)
+                assert getattr(row, kind).tobytes() == expected.tobytes()
 
     def test_rejects_the_first_mention_rank_candidates_rejects(self):
         mentions, entities = self.mixed_lengths()

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from otmel import matching
 from otmel.config import RunConfig
 from otmel.correlation import (
     CROSS_MODAL_SITES,
     OT,
     UNIMODAL_SITES,
     AssignmentSite,
+    assignment_stack,
     default_projections,
     interact_record,
 )
@@ -324,6 +326,25 @@ class TestScorerCaches:
         del mention, entities
         assert [r() for r in refs] == [None] * 4
 
+    @pytest.mark.parametrize("mechanism", ["ot", "attention"])
+    def test_prepared_catalog_holds_one_catalog(self, rng, identity_table, mechanism):
+        # Scoring a second catalog releases the first one's entities. Under
+        # no_fusm no pooled vector is cached, so the prepared catalog would
+        # be their only holder.
+        run = RunConfig(mechanism=mechanism, ablations=frozenset({"no_fusm"}))
+        scorer = Scorer(identity_table, run)
+        mention = make_record(rng, "mention", d=8)
+        first = [make_record(rng, "entity", d=8) for _ in range(3)]
+        second = [make_record(rng, "entity", d=8) for _ in range(2)]
+        before = scorer.score_all(mention, first)
+        # The same entities in a new list are the same catalog.
+        again = scorer.score_all(mention, list(first))
+        np.testing.assert_array_equal(again.s_o, before.s_o)
+        refs = [weakref.ref(e) for e in first]
+        scorer.score_all(mention, second)
+        del first
+        assert [r() for r in refs] == [None] * 3
+
 
 def pair_reference(mention, entity, table, run):
     """One pair scored alone: fused_score of pooled_pair values plus unimodal_score."""
@@ -559,6 +580,36 @@ class TestScoreGrid:
             for field in ("s_f", "s_t", "s_v", "s_o"):
                 got = np.broadcast_to(getattr(stacked, field), shape)[p]
                 np.testing.assert_array_equal(got, getattr(alone, field))
+
+    @pytest.mark.parametrize("mechanism", ["ot", "attention"])
+    def test_online_mention_is_one_solve(self, monkeypatch, mechanism):
+        # Against a warmed catalog of its own shape, a fresh mention's two
+        # cross-modal problems and its two problems per entity share one
+        # solve; a mention already pooled brings only the unimodal ones.
+        solved = []
+
+        def spy(scores, mechanism, config):
+            scores = list(scores)
+            solved.append(sum(s.shape[-3] for s in scores))
+            return assignment_stack(scores, mechanism, config)
+
+        monkeypatch.setattr(matching, "assignment_stack", spy)
+        rng = np.random.default_rng(6)
+        table = default_projections(6, seed=6)
+        entities = [
+            make_record(rng, "entity", rows_text=3, rows_visual=3, d=6)
+            for _ in range(5)
+        ]
+        mention = make_record(rng, "mention", rows_text=3, rows_visual=3, d=6)
+        scorer = Scorer(table, RunConfig(mechanism=mechanism))
+        scorer.warm(entities)
+        solved.clear()
+        fresh = scorer.score_all(mention, entities)
+        assert solved == [2 + 2 * len(entities)]
+        solved.clear()
+        again = scorer.score_all(mention, entities)
+        assert solved == [2 * len(entities)]
+        np.testing.assert_array_equal(again.s_o, fresh.s_o)
 
     def test_empty_blocks(self, identity_table, rng):
         scorer = Scorer(identity_table, RunConfig())

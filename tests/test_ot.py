@@ -1,21 +1,25 @@
 import itertools
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from otmel.config import RunConfig
 from otmel.correlation import cosine_cost
 from otmel.errors import ConfigError, DimensionError, NonFiniteError
+from otmel import ot as ot_module
 from otmel.ot import (
     CostMatrix,
     Marginals,
     SinkhornConfig,
     TransportPlan,
     _kernel,
+    _matvec,
     _rounded,
+    _scaled,
     exact_ot_uniform_square,
     plan_entropy,
     sinkhorn,
@@ -368,6 +372,170 @@ class TestSinkhornStack:
             reference = _reference_sinkhorn(cost[b], marg, config)
             assert_same_plan(sinkhorn(cost[b], marg, config), reference)
             assert_same_plan(stack_member(stack, b), reference)
+
+
+def _rounded_alg2(kernel, v, kv, kv_prev, marginals):
+    """Alg. 2 rounding as written with a branch per case, kept as the oracle.
+
+    A 2-D problem is refilled only if it has a row deficit; a stack
+    refills, by fancy indexing, just its problems with one.
+    """
+    mu, nu = marginals.mu, marginals.nu
+    u = mu / np.maximum(kv, kv_prev)
+    row_deficit = np.maximum(mu - u * kv, 0.0)
+    col_deficit = np.maximum(nu - v * _matvec(kernel.swapaxes(-1, -2), u), 0.0)
+    plan = u[..., :, None] * kernel * v[..., None, :]
+    deficit = row_deficit.sum(axis=-1)
+    if plan.ndim == 2:
+        if deficit > 0:
+            plan += row_deficit[:, None] * (col_deficit / deficit)
+    else:
+        short = np.flatnonzero(deficit > 0)
+        share = col_deficit[short] / deficit[short, None]
+        plan[short] += row_deficit[short, :, None] * share[:, None, :]
+    achieved = (
+        np.abs(plan.sum(axis=-1) - mu).sum(axis=-1)
+        + np.abs(plan.sum(axis=-2) - nu).sum(axis=-1)
+    )
+    return plan, achieved
+
+
+def random_marginals(rng, n, m, masses):
+    """Uniform, random, or random with one zero entry per side where it can."""
+    if masses == "uniform":
+        return Marginals.uniform(n, m)
+    mu = rng.random(n) + 0.05
+    nu = rng.random(m) + 0.05
+    for vec in (mu, nu):
+        if masses == "zero-mass" and len(vec) > 1:
+            vec[rng.integers(len(vec))] = 0.0
+    return Marginals(mu / mu.sum(), nu / nu.sum())
+
+
+MASSES = st.sampled_from(["uniform", "random", "zero-mass"])
+
+
+class TestRounding:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(0, 6),
+        n=st.integers(1, 8),
+        m=st.integers(1, 8),
+        sharpness=st.sampled_from([0.6, 30.0, 1500.0]),
+        masses=MASSES,
+    )
+    def test_one_code_path_matches_alg2_oracle(
+        self, seed, count, n, m, sharpness, masses
+    ):
+        # Scaled plans from a few pairs each, so rows sit above and below
+        # mu; a problem whose K v is a power of two and unchanged by its
+        # last pair has no row deficit at all. count 0 is a lone 2-D problem.
+        rng = np.random.default_rng(seed)
+        marg = random_marginals(rng, n, m, masses)
+        config = SinkhornConfig(sharpness=sharpness)
+        kernel, _ = _kernel(rng.random((max(count, 1), n, m)), marg, config)
+        states = []
+        for k in kernel:
+            pairs = replace(config, max_iter=int(rng.integers(1, 6)))
+            v, kv, kv_prev, _, _ = _scaled(k, marg, pairs)
+            if rng.random() < 0.3:
+                kv = kv_prev = 2.0 ** rng.integers(-3, 4, n)
+            states.append((v, kv, kv_prev))
+        v, kv, kv_prev = (np.array(x) for x in zip(*states))
+        if count == 0:
+            kernel, v, kv, kv_prev = kernel[0], v[0], kv[0], kv_prev[0]
+        plan, achieved = _rounded(kernel, v, kv, kv_prev, marg)
+        oracle_plan, oracle_achieved = _rounded_alg2(kernel, v, kv, kv_prev, marg)
+        assert plan.tobytes() == oracle_plan.tobytes()
+        assert achieved.tobytes() == oracle_achieved.tobytes()
+
+
+class TestHandOff:
+    # A stack hands its last active problems to the 2-D loop, resumed from
+    # their K v and pair count; every problem must still equal its lone
+    # solve and the per-pair reference.
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        fast=st.integers(0, 6),
+        slow=st.integers(1, 4),
+        n=st.integers(1, 8),
+        m=st.integers(1, 8),
+        sharpness=st.sampled_from([0.6, 30.0, 50.0, 1500.0]),
+        tol=st.sampled_from([1e-6, 1e-9]),
+        max_iter=st.sampled_from([1, 2, 5, 7, 10, 15, 40, 100, 1000]),
+        masses=MASSES,
+    )
+    def test_stack_equals_sinkhorn_per_problem(
+        self, seed, fast, slow, n, m, sharpness, tol, max_iter, masses
+    ):
+        # A constant cost is balanced by one pair, so fast problems stop at
+        # pair 1 and leave the slow ones to run, some of them to the cap;
+        # the caps fall inside the 2-D loop's runs after a hand-off.
+        rng = np.random.default_rng(seed)
+        costs = np.concatenate(
+            [np.full((fast, n, m), rng.random()), rng.random((slow, n, m))]
+        )
+        cost = costs[rng.permutation(len(costs))]
+        marg = random_marginals(rng, n, m, masses)
+        config = SinkhornConfig(sharpness=sharpness, tol=tol, max_iter=max_iter)
+        stack = sinkhorn_stack(cost, marg, config)
+        for b in range(len(cost)):
+            reference = _reference_sinkhorn(cost[b], marg, config)
+            assert_same_plan(stack_member(stack, b), reference)
+            assert_same_plan(sinkhorn(cost[b], marg, config), reference)
+
+    def test_last_two_problems_resume_in_the_2d_loop(self, monkeypatch):
+        resumed_at = []
+
+        def spy(kernel, marginals, config, kv=None, done=0):
+            resumed_at.append(done)
+            return _scaled(kernel, marginals, config, kv, done)
+
+        monkeypatch.setattr(ot_module, "_scaled", spy)
+        rng = np.random.default_rng(0)
+        # Six flat problems stop at pair 1; two sharp ones run on.
+        cost = np.concatenate([np.full((6, 5, 4), 0.3), rng.random((2, 5, 4))])
+        marg = Marginals.uniform(5, 4)
+        config = SinkhornConfig(sharpness=30.0)
+        stack = sinkhorn_stack(cost, marg, config)
+        assert resumed_at == [1, 1]
+        assert (stack.iterations_used[6:] > 10).all()
+        for b in range(len(cost)):
+            assert_same_plan(
+                stack_member(stack, b), _reference_sinkhorn(cost[b], marg, config)
+            )
+        # A stack of two or fewer never enters the stack loop.
+        resumed_at.clear()
+        sinkhorn_stack(cost[6:], marg, config)
+        assert resumed_at == [0, 0]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        m=st.integers(1, 12),
+        sharpness=st.sampled_from([30.0, 50.0, 1500.0]),
+        max_iter=st.sampled_from([7, 40, 1000]),
+        where=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_resumed_loop_equals_uninterrupted_solve(
+        self, seed, n, m, sharpness, max_iter, where
+    ):
+        rng = np.random.default_rng(seed)
+        marg = Marginals.uniform(n, m)
+        config = SinkhornConfig(sharpness=sharpness, max_iter=max_iter)
+        kernel, _ = _kernel(rng.random((n, m)), marg, config)
+        whole = _scaled(kernel, marg, config)
+        assume(whole[4] > 1)
+        pause = 1 + int(where * (whole[4] - 1))
+        v, kv, kv_prev, err, done = _scaled(kernel, marg, replace(config, max_iter=pause))
+        assert done == pause and not err < config.tol
+        resumed = _scaled(kernel, marg, config, kv, pause)
+        for got, expected in zip(resumed, whole):
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
 
 class TestExactOracle:
