@@ -26,6 +26,7 @@ from .ot import (
     Marginals,
     SinkhornConfig,
     TransportPlan,
+    _solve_stack,
     sinkhorn,
     sinkhorn_stack,
 )
@@ -152,10 +153,14 @@ def project(
 
 
 def row_softmax(scores: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with per-row max subtraction, over any leading axes."""
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row-wise softmax with per-row max subtraction, over any leading axes.
+
+    Computed in the one array it returns.
+    """
+    e = np.subtract(scores, scores.max(axis=-1, keepdims=True))
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def attention_logits(q: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -186,7 +191,11 @@ def cosine_cost(q: np.ndarray, k: np.ndarray) -> CostMatrix:
 
 
 def _cosine(q, k, q_norms=None) -> np.ndarray:
-    """The array of :func:`cosine_cost`, from the queries' row norms if given."""
+    """The array of :func:`cosine_cost`, from the queries' row norms if given.
+
+    Computed in the array it returns; the norms' outer product is the one
+    other array of its size.
+    """
     q = np.asarray(q, float)
     k = np.asarray(k, float)
     if q.shape[-1] != k.shape[-1]:
@@ -200,9 +209,12 @@ def _cosine(q, k, q_norms=None) -> np.ndarray:
                 raise ZeroNormRowError(
                     f"{name} row {int(zero[0, -1])} has zero norm; cosine is undefined"
                 )
-    cos = (q @ k.swapaxes(-1, -2)) / (qn[..., :, None] * kn[..., None, :])
+    cos = q @ k.swapaxes(-1, -2)
+    cos /= qn[..., :, None] * kn[..., None, :]
     np.clip(cos, -1.0, 1.0, out=cos)
-    return 0.5 * (1.0 - cos)
+    np.subtract(1.0, cos, out=cos)
+    cos *= 0.5
+    return cos
 
 
 def _transport(q, k, h, config: SinkhornConfig) -> AssignmentResult:
@@ -265,10 +277,12 @@ def assignment_stack(
 
     Each part is a ``(..., B, n, m)`` stack; all parts share n, m and any
     leading probe axes ahead of the record axis B. The parts are joined
-    on the record axis (-3) and solved by one
-    :func:`~otmel.ot.sinkhorn_stack` or one row softmax. Part by part, the
-    result equals the ``a`` of :func:`assign` on the same projections, bit
-    for bit.
+    on the record axis (-3) and solved by one row softmax or one Sinkhorn
+    stack. Transport takes the bare plans of the solve behind
+    :func:`~otmel.ot.sinkhorn_stack`, without the plan sums of
+    ``achieved_marginal_error`` or a :class:`~otmel.ot.TransportPlan`,
+    which ranking never reads. Part by part, the result equals the ``a``
+    of :func:`assign` on the same projections, bit for bit.
     """
     scores = list(scores)
     # A lone part goes in as it is: concatenating would copy it.
@@ -277,7 +291,7 @@ def assignment_stack(
         return row_softmax(joined)
     if mechanism == OT:
         marginals = Marginals.uniform(*joined.shape[-2:])
-        return sinkhorn_stack(joined, marginals, config).data
+        return _solve_stack(joined, marginals, config)[0]
     raise ConfigError(f"unknown mechanism {mechanism!r}")
 
 

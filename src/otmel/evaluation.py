@@ -52,21 +52,33 @@ def _check(mention: MentionRecord, entities, evaluate: bool) -> None:
             )
 
 
-def _ranked(
-    mention: MentionRecord, ids: list[str], scores: np.ndarray, evaluate: bool
-) -> RankingResult:
-    """Order one mention's score row: descending score, ties broken by id."""
-    order = np.lexsort((np.array(ids), -scores))
-    rank = None
-    if evaluate:
-        # Pessimistic under ties: every candidate scoring at least the gold's.
-        gold = scores[ids.index(mention.gold_entity)]
-        rank = int(np.count_nonzero(scores >= gold))
-    return RankingResult(
-        mention_id=mention.id,
-        ordering=tuple(ids[j] for j in order),
-        rank_of_gold=rank,
-    )
+def _ranker(entities, evaluate: bool):
+    """The function that orders one mention's score row against ``entities``.
+
+    Rows are ordered by descending score, ties broken by id. The id array
+    and the position of each id's first candidate are built once here,
+    for every row ordered against this catalog.
+    """
+    ids = [e.id for e in entities]
+    keys = np.array(ids)
+    first: dict[str, int] = {}
+    for j, entity_id in enumerate(ids):
+        first.setdefault(entity_id, j)
+
+    def ranked(mention: MentionRecord, scores: np.ndarray) -> RankingResult:
+        order = np.lexsort((keys, -scores))
+        rank = None
+        if evaluate:
+            # Pessimistic under ties: every candidate scoring at least the gold's.
+            gold = scores[first[mention.gold_entity]]
+            rank = int(np.count_nonzero(scores >= gold))
+        return RankingResult(
+            mention_id=mention.id,
+            ordering=tuple(map(ids.__getitem__, order.tolist())),
+            rank_of_gold=rank,
+        )
+
+    return ranked
 
 
 def rank_candidates(
@@ -78,7 +90,7 @@ def rank_candidates(
     """Score every candidate for one mention and rank them."""
     _check(mention, entities, evaluate)
     scores = scorer.score_all(mention, entities).s_o
-    return _ranked(mention, [e.id for e in entities], scores, evaluate)
+    return _ranker(entities, evaluate)(mention, scores)
 
 
 def rank_all(
@@ -104,9 +116,9 @@ def rank_all(
     mentions = list(mentions)
     for m in mentions:
         _check(m, entities, evaluate)
-    ids = [e.id for e in entities]
+    ranked = _ranker(entities, evaluate)
     scores = scorer.score_grid(mentions, entities).s_o
-    return [_ranked(m, ids, row, evaluate) for m, row in zip(mentions, scores)]
+    return [ranked(m, row) for m, row in zip(mentions, scores)]
 
 
 def _ranks(results) -> list[int]:

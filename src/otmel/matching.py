@@ -70,25 +70,54 @@ def softpool(members: Sequence[PoolMember]) -> np.ndarray:
     the column max, leaning toward the most activated rows. Members with
     leading stack axes pool each stacked problem on its own.
     """
-    stacked = _stack(members)
-    # One work array, updated in place: stacked scoring pools large stacks.
-    e = stacked - stacked.max(axis=-2, keepdims=True)
-    np.exp(e, out=e)
-    total = e.sum(axis=-2)
-    e *= stacked
-    return e.sum(axis=-2) / total
+    return _pool(_stack(members), POOL_SOFT)
 
 
 def stack_pool(members: Sequence[PoolMember], kind: str = POOL_SOFT) -> np.ndarray:
-    """Pool stacked member rows into a single d-vector by the chosen rule."""
-    if kind == POOL_SOFT:
-        return softpool(members)
-    stacked = _stack(members)
+    """Pool stacked member rows into a single d-vector by the chosen rule.
+
+    The members' rows are joined on axis -2 and pooled by the code batch
+    scoring pools its row buffers with (see :func:`_workspace`).
+    """
+    return _pool(_stack(members), kind)
+
+
+def _pool(x: np.ndarray, kind: str, work=None, out=None) -> np.ndarray:
+    """Pool the rows of ``x`` (axis -2) by the rule ``kind``.
+
+    Sums add the rows in order, so a problem pools to the same bits in a
+    stack as alone. ``work``, an array of ``x``'s shape, holds the soft
+    pool's weights and ``out`` takes the result, so a caller that pools
+    many stacks can reuse both; without them this allocates its own.
+    """
     if kind == POOL_MEAN:
-        return stacked.mean(axis=-2)
+        return x.mean(axis=-2, out=out)
     if kind == POOL_MAX:
-        return stacked.max(axis=-2)
-    raise ConfigError(f"unknown pool kind {kind!r}")
+        return x.max(axis=-2, out=out)
+    if kind != POOL_SOFT:
+        raise ConfigError(f"unknown pool kind {kind!r}")
+    e = np.subtract(x, x.max(axis=-2, keepdims=True), out=work)
+    np.exp(e, out=e)
+    total = e.sum(axis=-2)
+    e *= x
+    return np.divide(e.sum(axis=-2, out=out), total, out=out)
+
+
+def _workspace(problems: tuple, rows: int, d: int) -> np.ndarray:
+    """An empty ``problems + (rows, d)`` array laid out rows first.
+
+    The memory is ``(rows,) + problems + (d,)``, moved to put the rows
+    before d. Each problem's ``rows x d`` matrix keeps unit column
+    stride, so a matmul writing into it runs the per-pair ``(n, m) @
+    (m, d)`` product, and :func:`_pool` then adds all problems' row i
+    in one pass, in the row order one pair's pool adds them. At
+    ``d == 1`` numpy sums one pair's lone column pairwise, so each
+    problem's rows stay contiguous there, as one pair's are.
+    """
+    if d == 1:
+        return np.empty(problems + (rows, d))
+    k = len(problems)
+    return np.empty((rows,) + problems + (d,)).transpose(*range(1, k + 1), 0, k + 1)
 
 
 def pooled_pair(
@@ -142,18 +171,16 @@ def unimodal_score(
     Row 0 of each matrix is its summary row.
     """
     result = assign(entity_side, mention_side, proj, mechanism, config)
-    return float(
-        _unimodal_value(result.g, mention_side.summary, entity_side.summary, pool)
-    )
+    pooled = stack_pool([result.g], pool)
+    return float(_unimodal_value(pooled, mention_side.summary, entity_side.summary))
 
 
-def _unimodal_value(g, t_m, t_e, pool) -> np.ndarray:
-    """The unimodal score from mention features already transported by ``g``.
+def _unimodal_value(pooled, t_m, t_e) -> np.ndarray:
+    """The unimodal score from the pooled transported mention features.
 
     ``t_m`` and ``t_e`` are the mention and entity summary rows; a stack of
-    ``g`` and ``t_e`` gives one score per stacked entity.
+    ``pooled`` and ``t_e`` gives one score per stacked entity.
     """
-    pooled = stack_pool([g], pool)
     return 0.5 * (_rowdot(pooled, t_e) + _rowdot(t_m, t_e))
 
 
@@ -329,10 +356,11 @@ class Scorer:
     the scorer holds at most one catalog's worth.
     :meth:`score_grid` is the one scoring core: it scores a block of
     mentions against a whole catalog in stacked array operations, solving
-    many pairs' transport problems in one stack. Every score equals, bit
-    for bit, the one :func:`fused_score`, :func:`pooled_pair` and
-    :func:`unimodal_score` give for the pair alone, whatever else shares
-    the call.
+    many pairs' transport problems in one stack and pooling each block's
+    transported rows in row buffers that the rest of its job reuses
+    (:func:`_workspace`). Every score equals, bit for bit, the one
+    :func:`fused_score`, :func:`pooled_pair` and :func:`unimodal_score`
+    give for the pair alone, whatever else shares the call.
     A table entry may carry leading probe axes on its matrices, such as
     :func:`~otmel.objectives.fd_gradient`'s ``(P, 1, d, d)`` stacks of
     perturbed copies, whose unit axis broadcasts over the stacked records.
@@ -413,12 +441,15 @@ class Scorer:
         destination rows with the source rows moved onto them into
         ``out[slot]``, and caches the chunk once ``out`` is full. Only the
         scores span the chunk; the rest is done one block of at most
-        ``_BLOCK`` records at a time.
+        ``_BLOCK`` records at a time, in row buffers (see
+        :func:`_workspace`) that every block of the job reuses: each
+        record's own rows, then the rows moved onto them, written there
+        by the matmul itself.
         """
         _, dst, _, src = SITE_LEGS[site]
         proj = self.projections[site]
-        for attr in (dst, src):
-            _fitted(getattr(chunk[0], attr), proj)
+        n, d = _fitted(getattr(chunk[0], dst), proj).shape
+        _fitted(getattr(chunk[0], src), proj)
         blocks = _chunks(chunk, _BLOCK)
 
         def rows(block, attr: str) -> np.ndarray:
@@ -432,17 +463,23 @@ class Scorer:
         ]
 
         def take(a):
-            pooled, start = [], 0
+            lead = np.broadcast_shapes(a.shape[:-3], proj.w_h.shape[:-3])
+            rows_buf = _workspace(lead + (len(blocks[0]),), 2 * n, d)
+            work = np.empty_like(rows_buf)
+            pooled = np.empty(lead + (len(chunk), d))
+            start = 0
             for block in blocks:
+                stop = start + len(block)
+                both = rows_buf[..., : len(block), :, :]
+                for i, r in enumerate(block):
+                    both[..., i, :n, :] = getattr(r, dst).data
                 # A block's H is made only now: a waiting job holds just its scores.
                 h = rows(block, src) @ proj.w_h
-                g = a[..., start : start + len(block), :, :] @ h
-                start += len(block)
-                x = rows(block, dst)
-                if x.shape != g.shape:
-                    x = np.broadcast_to(x, g.shape)
-                pooled.append(stack_pool([x, g], self.config.pool))
-            out[slot] = np.concatenate(pooled, axis=-2)
+                np.matmul(a[..., start:stop, :, :], h, out=both[..., n:, :])
+                w = work[..., : len(block), :, :]
+                _pool(both, self.config.pool, w, out=pooled[..., start:stop, :])
+                start = stop
+            out[slot] = pooled
             if all(x is not None for x in out):
                 # Rows of a moved-axis view restack about twice as slowly.
                 per_record = (x if x.ndim == 2 else np.moveaxis(x, -2, 0) for x in out)
@@ -506,7 +543,8 @@ class Scorer:
         Returns the job's scores and the callback that writes their scores
         into ``grid[0]``, an ``(M, width)`` grid after any probe axes. It
         transports and pools in slices of mentions that each stay within
-        :func:`_per_solve` too.
+        :func:`_per_solve` too, in row buffers (see :func:`_workspace`)
+        that every slice of the job reuses.
         """
         x = np.array([_fitted(sides[i], proj) for i in chunk])
         k = (x @ proj.w_k)[..., None, :, :]
@@ -514,15 +552,24 @@ class Scorer:
         q, q_norms = block.q[..., None, :, :, :], block.q_norms[..., None, :, :]
         scores = assignment_scores(q, k, self.config.mechanism, q_norms)
         t_m = np.array([sides[i].summary for i in chunk])[:, None]
-        step = max(1, _BLOCK // len(block.index))
+        count, (n, d) = len(block.index), block.q.shape[-2:]
+        step = min(len(chunk), max(1, _BLOCK // count))
 
         def take(a):
-            a = a.reshape(a.shape[:-3] + (len(chunk), -1) + a.shape[-2:])
+            lead = np.broadcast_shapes(a.shape[:-3], proj.w_h.shape[:-3])
+            a = a.reshape(a.shape[:-3] + (len(chunk), count) + a.shape[-2:])
+            g_buf = _workspace(lead + (step, count), n, d)
+            work = np.empty_like(g_buf)
+            pooled = np.empty(lead + (step, count, d))
             for s in range(0, len(chunk), step):
                 cut = slice(s, s + step)
+                size = len(chunk[cut])
+                g = g_buf[..., :size, :, :, :]
                 h = (x[cut] @ proj.w_h)[..., None, :, :]
-                g = a[..., cut, :, :, :] @ h
-                v = _unimodal_value(g, t_m[cut], block.summary, self.config.pool)
+                np.matmul(a[..., cut, :, :, :], h, out=g)
+                p = pooled[..., :size, :, :]
+                _pool(g, self.config.pool, work[..., :size, :, :, :], p)
+                v = _unimodal_value(p, t_m[cut], block.summary)
                 if grid[0] is None:
                     grid[0] = np.empty(v.shape[:-2] + (len(sides), width))
                 grid[0][..., np.array(chunk[cut])[:, None], block.index] = v
@@ -539,11 +586,16 @@ class Scorer:
         chunk of mentions. Problems of one shape are solved together, as
         many per solve as :func:`_per_solve` allows, so one online
         mention against a catalog of E entities of its own shape solves
-        its 2 + 2·E problems in one stack. The fused scores are then one
-        broadcast product of pooled vectors. A score depends only on its
-        own mention and entity, never on what else shares the call.
-        Ablated components read 0. Each field is an ``(M, E)`` grid, so a
-        call holds four floats per pair. Under a table entry with
+        its 2 + 2·E problems in one stack. Each solved job transports and
+        pools one block of at most ``_BLOCK`` problems at a time: the
+        matmul writes the transported rows straight into a rows-first
+        buffer, pooled in place, and every block of the job reuses the
+        buffers, so no temporary grows with the catalog or the mentions.
+        The fused scores are then one broadcast product of pooled vectors.
+        A score depends only on its own mention and entity, never on what
+        else shares the call. Ablated components read 0. Each field is an
+        ``(M, E)`` grid, so a call holds four floats per pair. Under a
+        table entry with
         ``(P, 1, d, d)`` probe matrices, every field the entry feeds is a
         ``(P, M, E)`` grid, one per probe.
         """

@@ -14,6 +14,10 @@ a stack of independent ``n x m`` problems. :func:`sinkhorn` solves one
 problem; :func:`sinkhorn_stack` solves a stack in one scaling loop, whose
 last two problems finish in the one-problem loop, with each problem
 giving the same result, bit for bit, as :func:`sinkhorn` on it alone.
+Its inner solve, :func:`_solve_stack`, returns the bare plans and the
+scaling's diagnostics, for callers that read nothing else. Kernel and
+plans share one buffer: the kernel is exponentiated and clamped in place,
+and rounding scales it into the plans.
 
 Both loops check the marginal error once per run of scaling pairs, not
 after every pair: a run keeps its iterates and computes all their errors
@@ -57,14 +61,7 @@ class CostMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = freeze_array(self.data)
-        if arr.ndim < 2:
-            raise DimensionError(
-                f"cost matrix must be at least 2-D, got shape {arr.shape}"
-            )
-        if not np.isfinite(arr).all():
-            raise NonFiniteError("cost matrix contains non-finite values")
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", _checked(freeze_array(self.data)))
 
     @property
     def n(self) -> int:
@@ -168,6 +165,17 @@ class SinkhornConfig:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
+def _checked(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself, once it is known to be a finite cost of two axes or more."""
+    if arr.ndim < 2:
+        raise DimensionError(
+            f"cost matrix must be at least 2-D, got shape {arr.shape}"
+        )
+    if not np.isfinite(arr).all():
+        raise NonFiniteError("cost matrix contains non-finite values")
+    return arr
+
+
 def _as_cost(cost) -> CostMatrix:
     return cost if isinstance(cost, CostMatrix) else CostMatrix(cost)
 
@@ -175,17 +183,23 @@ def _as_cost(cost) -> CostMatrix:
 def _kernel(cost, marginals: Marginals, config: SinkhornConfig):
     """The clamped kernel ``exp(-sharpness * C)`` of a cost that fits the marginals.
 
-    Also returns, per problem, whether the clamp raised any entry.
+    Also returns, per problem, whether the clamp raised any entry. A cost
+    array is checked as :class:`CostMatrix` checks it, without the copy;
+    the kernel is the one array this allocates.
     """
-    cost = _as_cost(cost)
-    n, m = cost.n, cost.m
+    if isinstance(cost, CostMatrix):
+        data = cost.data
+    else:
+        data = _checked(np.asarray(cost, float))
+    n, m = data.shape[-2:]
     mu, nu = marginals.mu, marginals.nu
     if mu.shape[0] != n or nu.shape[0] != m:
         raise DimensionError(
             f"marginals ({mu.shape[0]}, {nu.shape[0]}) do not match cost {n}x{m}"
         )
-    kernel = np.exp(-config.sharpness * cost.data)
-    clamped = (kernel < KERNEL_FLOOR).any(axis=(-2, -1))
+    kernel = np.multiply(data, -config.sharpness, order="C")
+    np.exp(kernel, out=kernel)
+    clamped = kernel.min(axis=(-2, -1)) < KERNEL_FLOOR
     np.maximum(kernel, KERNEL_FLOOR, out=kernel)
     return kernel, clamped
 
@@ -224,8 +238,8 @@ def _pairs(kernel, kernel_t, kv, mu, nu, steps: int):
     return vs, kvs, err
 
 
-def _rounded(kernel, v, kv, kv_prev, marginals: Marginals):
-    """Round scaled plans onto the marginals; return them and their L1 errors.
+def _rounded(kernel, v, kv, kv_prev, marginals: Marginals) -> np.ndarray:
+    """Round scaled plans onto the marginals, in the kernel's own buffer.
 
     Altschuler, Weed & Rigollet 2017, Alg. 2. Row i of the scaled plan sums
     to mu_i * kv_i / kv_prev_i, so dividing mu by the larger of the two
@@ -234,23 +248,31 @@ def _rounded(kernel, v, kv, kv_prev, marginals: Marginals):
     only lowers columns, so the column shrink of Alg. 2 is skipped. A
     rank-1 term then refills the row and column deficits, clamped at 0:
     its column shares are 0 in a problem with no row deficit, whose term
-    is then 0. Takes one 2-D problem or a ``(B, n, m)`` stack.
+    is then 0. Takes one 2-D problem or a ``(B, n, m)`` stack, overwrites
+    ``kernel`` with the plans and returns it; the rank-1 term is the one
+    array of the plans' size that this allocates.
     """
     mu, nu = marginals.mu, marginals.nu
     u = mu / np.maximum(kv, kv_prev)
     row_deficit = np.maximum(mu - u * kv, 0.0)
     col_deficit = np.maximum(nu - v * _matvec(kernel.swapaxes(-1, -2), u), 0.0)
-    plan = u[..., :, None] * kernel * v[..., None, :]
+    plan = kernel
+    plan *= u[..., :, None]
+    plan *= v[..., None, :]
     deficit = row_deficit.sum(axis=-1, keepdims=True)
     share = np.divide(
         col_deficit, deficit, out=np.zeros_like(col_deficit), where=deficit > 0
     )
     plan += row_deficit[..., :, None] * share[..., None, :]
-    achieved = (
-        np.abs(plan.sum(axis=-1) - mu).sum(axis=-1)
-        + np.abs(plan.sum(axis=-2) - nu).sum(axis=-1)
+    return plan
+
+
+def _achieved(plan: np.ndarray, marginals: Marginals):
+    """The L1 distance of each plan's row and column sums from the marginals."""
+    return (
+        np.abs(plan.sum(axis=-1) - marginals.mu).sum(axis=-1)
+        + np.abs(plan.sum(axis=-2) - marginals.nu).sum(axis=-1)
     )
-    return plan, achieved
 
 
 def sinkhorn(
@@ -285,10 +307,10 @@ def sinkhorn(
             "use sinkhorn_stack for a stack"
         )
     v, kv, kv_prev, err, done = _scaled(kernel, marginals, config)
-    plan, achieved = _rounded(kernel, v, kv, kv_prev, marginals)
+    plan = _rounded(kernel, v, kv, kv_prev, marginals)
     return TransportPlan(
         data=plan,
-        achieved_marginal_error=float(achieved),
+        achieved_marginal_error=float(_achieved(plan, marginals)),
         iterations_used=done,
         converged=bool(err < config.tol and not clamped),
         residual=float(err),
@@ -355,20 +377,41 @@ def sinkhorn_stack(
 ) -> TransportPlan:
     """Solve a stack of transport problems that share their marginals.
 
-    ``cost`` has shape ``(..., n, m)``. One alternating-scaling loop
-    updates every problem still active. Errors are checked once per run
-    of pairs, and a problem's plan is built from the first pair under
-    ``tol``, the pair where :func:`sinkhorn` on it alone stops; problems
-    that stopped leave the active set at the end of the run. Once at
-    most :data:`_HANDOFF` problems are active, each finishes in
-    :func:`sinkhorn`'s 2-D loop, resumed from its ``K v`` and pair count:
-    a stack's pair costs several times a 2-D pair, and at high sharpness
-    the slowest problems, which often come in twos such as one record's
-    two cross-modal directions, run hundreds of pairs after the rest have
-    stopped. Each problem is rounded the same way, so each plan
-    and each diagnostic equals that solve's, bit for bit, whatever else
-    shares the stack. The returned plan has the cost's shape and carries
-    its diagnostics as arrays over the leading axes.
+    ``cost`` has shape ``(..., n, m)``. The plans and the scaling's
+    diagnostics come from :func:`_solve_stack`; this adds each plan's
+    ``achieved_marginal_error``. Each plan and each diagnostic equals
+    that of :func:`sinkhorn` on the problem alone, bit for bit, whatever
+    else shares the stack. The returned plan has the cost's shape and
+    carries its diagnostics as arrays over the leading axes.
+    """
+    plan, iterations, residual, converged = _solve_stack(cost, marginals, config)
+    return TransportPlan(
+        data=plan,
+        achieved_marginal_error=_achieved(plan, marginals),
+        iterations_used=iterations,
+        converged=converged,
+        residual=residual,
+    )
+
+
+def _solve_stack(cost, marginals: Marginals, config: SinkhornConfig):
+    """The plans of :func:`sinkhorn_stack`, with the scaling's per-problem diagnostics.
+
+    Returns the ``(..., n, m)`` plan stack and, over the leading axes, each
+    problem's ``iterations_used``, ``residual`` and ``converged``: what
+    ranking needs, without the plan sums of ``achieved_marginal_error`` or
+    a :class:`TransportPlan`. One alternating-scaling loop updates every
+    problem still active. Errors are checked once per run of pairs, and a
+    problem's plan is built from the first pair under ``tol``, the pair
+    where :func:`sinkhorn` on it alone stops; problems that stopped leave
+    the active set at the end of the run. Once at most :data:`_HANDOFF`
+    problems are active, each finishes in :func:`sinkhorn`'s 2-D loop,
+    resumed from its ``K v`` and pair count: a stack's pair costs several
+    times a 2-D pair, and at high sharpness the slowest problems, which
+    often come in twos such as one record's two cross-modal directions,
+    run hundreds of pairs after the rest have stopped. Each problem is
+    rounded the same way as a lone one. The kernel is computed in one
+    buffer, which rounding turns into the plans.
     """
     kernel, clamped = _kernel(cost, marginals, config)
     shape = kernel.shape
@@ -428,13 +471,13 @@ def sinkhorn_stack(
             kernel[b], marginals, config, kv_b, done
         )
 
-    plan, achieved = _rounded(kernel, v, kv, kv_prev, marginals)
-    return TransportPlan(
-        data=plan.reshape(shape),
-        achieved_marginal_error=achieved.reshape(lead),
-        iterations_used=iterations.reshape(lead),
-        converged=((residual < config.tol) & ~clamped.reshape(-1)).reshape(lead),
-        residual=residual.reshape(lead),
+    plan = _rounded(kernel, v, kv, kv_prev, marginals)
+    converged = (residual < config.tol) & ~clamped.reshape(-1)
+    return (
+        plan.reshape(shape),
+        iterations.reshape(lead),
+        residual.reshape(lead),
+        converged.reshape(lead),
     )
 
 

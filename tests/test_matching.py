@@ -4,6 +4,8 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 import pytest
+import tracemalloc
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +16,8 @@ from otmel.correlation import (
     OT,
     UNIMODAL_SITES,
     AssignmentSite,
+    SITE_LEGS,
+    assign,
     assignment_stack,
     default_projections,
     interact_record,
@@ -21,6 +25,9 @@ from otmel.correlation import (
 from otmel.errors import ConfigError, DimensionError
 from otmel.matching import (
     Scorer,
+    _pool,
+    _unimodal_value,
+    _workspace,
     fused_score,
     overall_score,
     pooled_pair,
@@ -617,3 +624,140 @@ class TestScoreGrid:
         assert scorer.score_grid([], [make_record(rng, "entity")]).s_o.shape == (0, 1)
         assert scorer.score_grid([mention], []).s_o.shape == (1, 0)
         assert scorer.score_all(mention, []).s_o.shape == (0,)
+
+
+POOLS = st.sampled_from(["soft", "mean", "max"])
+
+
+class TestRowsFirstPooling:
+    # Batch scoring writes each block's transported rows through a matmul
+    # into a rows-first buffer and pools it in place, reusing the buffers
+    # for every block of a job. Each problem must pool to the bits that
+    # the per-pair path gives it alone.
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lead=st.lists(st.integers(1, 3), max_size=2),
+        count=st.integers(1, 5),
+        n=st.integers(1, 13),
+        m=st.integers(1, 13),
+        d=st.sampled_from([1, 2, 3, 5, 8, 16, 64]),
+        kind=POOLS,
+        own_rows=st.booleans(),
+        probed_h=st.booleans(),
+    )
+    def test_workspace_pool_equals_each_pair(
+        self, seed, lead, count, n, m, d, kind, own_rows, probed_h
+    ):
+        rng = np.random.default_rng(seed)
+        lead = tuple(lead)
+        h_lead = lead if probed_h else ()
+        rows = 2 * n if own_rows else n
+        buf = _workspace(lead + (count,), rows, d)
+        work, out = np.empty_like(buf), np.empty(lead + (count, d))
+        # Two fills of one buffer, the second a short block: reuse must not leak.
+        for size in (count, int(rng.integers(1, count + 1))):
+            a = rng.random(lead + (size, n, m))
+            h = rng.standard_normal(h_lead + (size, m, d))
+            x = rng.standard_normal((size, n, d))
+            view = buf[..., :size, :, :]
+            if own_rows:
+                view[..., :n, :] = x
+            np.matmul(a, h, out=view[..., rows - n :, :])
+            got = _pool(view, kind, work[..., :size, :, :], out[..., :size, :])
+            for idx in np.ndindex(lead + (size,)):
+                b = idx[-1]
+                g = a[idx] @ h[idx if probed_h else b]
+                members = [x[b], g] if own_rows else [g]
+                assert got[idx].tobytes() == stack_pool(members, kind).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        mechanism=st.sampled_from(["ot", "attention"]),
+        pool=POOLS,
+        d=st.integers(1, 5),
+        probes=st.integers(0, 2),
+        pick=st.integers(0, 5),
+        name=st.sampled_from(["w_q", "w_k", "w_h"]),
+    )
+    def test_scorer_equals_pooled_pair_and_unimodal_value(
+        self, seed, mechanism, pool, d, probes, pick, name
+    ):
+        # Mixed lengths with text and visual lengths apart, so sites have
+        # n != m and many entities form blocks of one; a probed matrix
+        # adds leading axes to one site's buffers.
+        rng = np.random.default_rng(seed)
+        table = default_projections(d, seed=seed % 1000, scale=1.5)
+        entities = random_catalog(rng, 4, d=d)
+        mentions = mixed_mentions(rng, 3, d=d)
+        run = RunConfig(mechanism=mechanism, pool=pool, sharpness=30.0)
+        site = (CROSS_MODAL_SITES + UNIMODAL_SITES)[pick]
+        stack = getattr(table[site], name) + 0.1 * rng.standard_normal(
+            (max(probes, 1), 1, d, d)
+        )
+        probe_tables = [
+            {**table, site: table[site].replace(**{name: stack[p, 0]})}
+            for p in range(len(stack))
+        ]
+        scored = probe_tables[0] if probes == 0 else {
+            **table, site: table[site].replace(**{name: stack})
+        }
+        scorer = Scorer(scored, run)
+        grid = scorer.score_grid(mentions, entities)
+        solver = run.sinkhorn_config()
+        for p, tbl in enumerate(probe_tables):
+            for record in mentions + entities:
+                inter = interact_record(record, tbl, mechanism, solver)
+                want = pooled_pair(record, inter, pool)
+                for got, vec in zip(scorer.pooled(record), want):
+                    got = np.broadcast_to(got, (len(probe_tables), d))[p]
+                    assert got.tobytes() == vec.tobytes()
+            for field, uni in zip(("s_t", "s_v"), UNIMODAL_SITES):
+                _, attr, _, _ = SITE_LEGS[uni]
+                shape = (len(probe_tables), len(mentions), len(entities))
+                got = np.broadcast_to(getattr(grid, field), shape)[p]
+                for i, mention in enumerate(mentions):
+                    for j, entity in enumerate(entities):
+                        m_side, e_side = getattr(mention, attr), getattr(entity, attr)
+                        g = assign(e_side, m_side, tbl[uni], mechanism, solver).g
+                        want = _unimodal_value(
+                            stack_pool([g], pool), m_side.summary, e_side.summary
+                        )
+                        assert got[i, j] == want
+
+
+def _traced_peak(scorer, mentions, entities) -> int:
+    """Bytes ``score_grid`` holds at its peak beyond what was allocated before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        scorer.score_grid(mentions, entities)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockMemory:
+    @pytest.mark.parametrize("mechanism", ["ot", "attention"])
+    def test_no_temporary_grows_with_the_mentions(self, mechanism):
+        # Scoring works in blocks of at most _BLOCK records, so apart from
+        # the four (M, E) score grids the traced peak barely moves when
+        # the mentions quadruple (the ranking benchmark's shape: d=64,
+        # E=32, L=12).
+        rng = np.random.default_rng(0)
+        d, length, width = 64, 12, 32
+        entities = [
+            make_record(rng, "entity", rows_text=length, rows_visual=length, d=d)
+            for _ in range(width)
+        ]
+        peaks = []
+        for count in (64, 256):
+            mentions = [
+                make_record(rng, "mention", rows_text=length, rows_visual=length, d=d)
+                for _ in range(count)
+            ]
+            scorer = Scorer(default_projections(d, seed=0), RunConfig(mechanism=mechanism))
+            peaks.append(_traced_peak(scorer, mentions, entities) - 4 * count * width * 8)
+        assert peaks[1] < 1.1 * peaks[0]

@@ -16,10 +16,12 @@ from otmel.ot import (
     Marginals,
     SinkhornConfig,
     TransportPlan,
+    _achieved,
     _kernel,
     _matvec,
     _rounded,
     _scaled,
+    _solve_stack,
     exact_ot_uniform_square,
     plan_entropy,
     sinkhorn,
@@ -61,10 +63,10 @@ def _reference_sinkhorn(cost, marginals, config):
         err = np.abs(u * kv - mu).sum() + np.abs(v * kt_u - nu).sum()
         if err < config.tol:
             break
-    plan, achieved = _rounded(kernel, v, kv, kv_prev, marginals)
+    plan = _rounded(kernel, v, kv, kv_prev, marginals)
     return TransportPlan(
         data=plan,
-        achieved_marginal_error=float(achieved),
+        achieved_marginal_error=float(_achieved(plan, marginals)),
         iterations_used=iterations,
         converged=bool(err < config.tol and not clamped),
         residual=float(err),
@@ -415,6 +417,49 @@ def random_marginals(rng, n, m, masses):
 MASSES = st.sampled_from(["uniform", "random", "zero-mass"])
 
 
+class TestSolveStack:
+    # Ranking takes the bare plans of the inner solve; they and its
+    # diagnostics must be those of sinkhorn_stack, which adds only
+    # achieved_marginal_error and the TransportPlan.
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lead=st.lists(st.integers(1, 4), min_size=0, max_size=2),
+        n=st.integers(1, 8),
+        m=st.integers(1, 8),
+        sharpness=st.sampled_from([0.6, 30.0, 1500.0]),
+        max_iter=st.sampled_from([1, 3, 7, 1000]),
+        masses=MASSES,
+    )
+    def test_equals_sinkhorn_stack(self, seed, lead, n, m, sharpness, max_iter, masses):
+        # At sharpness 1500 most kernels clamp; small caps stop problems unconverged.
+        rng = np.random.default_rng(seed)
+        cost = rng.random(tuple(lead) + (n, m))
+        if not lead:
+            cost = cost[None]
+        marg = random_marginals(rng, n, m, masses)
+        config = SinkhornConfig(sharpness=sharpness, max_iter=max_iter)
+        plan, iterations, residual, converged = _solve_stack(cost, marg, config)
+        full = sinkhorn_stack(cost, marg, config)
+        assert plan.shape == cost.shape
+        assert plan.tobytes() == full.data.tobytes()
+        for got, want in (
+            (iterations, full.iterations_used),
+            (residual, full.residual),
+            (converged, full.converged),
+        ):
+            assert got.shape == cost.shape[:-2]
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_rejects_what_cost_matrix_rejects(self):
+        marg, config = Marginals.uniform(2, 2), SinkhornConfig()
+        with pytest.raises(NonFiniteError):
+            _solve_stack(np.array([[[0.1, np.nan], [0.2, 0.3]]]), marg, config)
+        with pytest.raises(DimensionError):
+            _solve_stack(np.array([0.1, 0.2]), marg, config)
+
+
 class TestRounding:
     @settings(max_examples=120, deadline=None)
     @given(
@@ -445,7 +490,9 @@ class TestRounding:
         v, kv, kv_prev = (np.array(x) for x in zip(*states))
         if count == 0:
             kernel, v, kv, kv_prev = kernel[0], v[0], kv[0], kv_prev[0]
-        plan, achieved = _rounded(kernel, v, kv, kv_prev, marg)
+        # Rounding overwrites the kernel it is given; the oracle reads it after.
+        plan = _rounded(kernel.copy(), v, kv, kv_prev, marg)
+        achieved = _achieved(plan, marg)
         oracle_plan, oracle_achieved = _rounded_alg2(kernel, v, kv, kv_prev, marg)
         assert plan.tobytes() == oracle_plan.tobytes()
         assert achieved.tobytes() == oracle_achieved.tobytes()
