@@ -46,7 +46,6 @@ from .matching import (
     unimodal_score,
 )
 from .objectives import (
-    DistillPair,
     ToyTrainConfig,
     contrastive_loss,
     distill_gap,

@@ -181,7 +181,12 @@ def _unimodal_value(pooled, t_m, t_e) -> np.ndarray:
     ``t_m`` and ``t_e`` are the mention and entity summary rows; a stack of
     ``pooled`` and ``t_e`` gives one score per stacked entity.
     """
-    return 0.5 * (_rowdot(pooled, t_e) + _rowdot(t_m, t_e))
+    return _unimodal_sum(pooled, t_e, _rowdot(t_m, t_e))
+
+
+def _unimodal_sum(pooled, t_e, summaries) -> np.ndarray:
+    """:func:`_unimodal_value` given the summary rows' products ``summaries``."""
+    return 0.5 * (_rowdot(pooled, t_e) + summaries)
 
 
 def _fitted(side: FeatureMatrix, proj) -> np.ndarray:
@@ -552,6 +557,8 @@ class Scorer:
         q, q_norms = block.q[..., None, :, :, :], block.q_norms[..., None, :, :]
         scores = assignment_scores(q, k, self.config.mechanism, q_norms)
         t_m = np.array([sides[i].summary for i in chunk])[:, None]
+        # The summary-by-summary term depends on neither plan nor pool.
+        summaries = _rowdot(t_m, block.summary)
         count, (n, d) = len(block.index), block.q.shape[-2:]
         step = min(len(chunk), max(1, _BLOCK // count))
 
@@ -569,7 +576,7 @@ class Scorer:
                 np.matmul(a[..., cut, :, :, :], h, out=g)
                 p = pooled[..., :size, :, :]
                 _pool(g, self.config.pool, work[..., :size, :, :, :], p)
-                v = _unimodal_value(p, t_m[cut], block.summary)
+                v = _unimodal_sum(p, block.summary, summaries[cut])
                 if grid[0] is None:
                     grid[0] = np.empty(v.shape[:-2] + (len(sides), width))
                 grid[0][..., np.array(chunk[cut])[:, None], block.index] = v

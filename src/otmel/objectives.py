@@ -16,7 +16,10 @@ and holds its teachers within a step; a step solves all sites' teachers
 in one stack per leg shape. The ``ot`` objective's assignments are
 Sinkhorn plans, differentiated implicitly at their fixed point. A step
 scores the batch once for its trace row and its gradient. Central finite
-differences, as :func:`fd_gradient`, check the reverse pass.
+differences, as :func:`fd_gradient`, check the reverse pass. The
+distillation gap (:func:`distill_gap`) averages the same per-leg terms the
+``kd`` objective sums, so one stacked path computes every distillation
+term.
 """
 
 from __future__ import annotations
@@ -38,14 +41,14 @@ from .correlation import (
     assignment_scores,
     assignment_stack,
     attention_logits,
-    cosine_cost,
     project,
     record_sites,
 )
 from .data_io import Dataset
 from .errors import ConfigError, DataError, DimensionError, NonFiniteError
 from .matching import Scorer
-from .ot import Marginals, sinkhorn
+# Unused here; the benchmark's tracer still wraps this binding.
+from .ot import sinkhorn  # noqa: F401
 from .types import FeatureMatrix
 
 
@@ -71,29 +74,6 @@ def contrastive_loss(scores: np.ndarray) -> float | np.ndarray:
     return float(loss) if loss.ndim == 0 else loss
 
 
-@dataclass(frozen=True)
-class DistillPair:
-    """Teacher plans and student logits for the same assignments.
-
-    One ``(n, m)`` pair, or a ``(..., n, m)`` stack of them.
-    """
-
-    plan: np.ndarray
-    logits: np.ndarray
-
-    def __post_init__(self):
-        plan = np.asarray(self.plan, float)
-        logits = np.asarray(self.logits, float)
-        if plan.shape != logits.shape:
-            raise DimensionError(
-                f"plan {plan.shape} and logits {logits.shape} shapes differ"
-            )
-        if not np.isfinite(logits).all() or not np.isfinite(plan).all():
-            raise NonFiniteError("distillation operands must be finite")
-        object.__setattr__(self, "plan", plan)
-        object.__setattr__(self, "logits", logits)
-
-
 def kd_pair_loss(plan: np.ndarray, logits: np.ndarray) -> float | np.ndarray:
     """Distillation divergence for one assignment, or one per stacked assignment.
 
@@ -103,11 +83,16 @@ def kd_pair_loss(plan: np.ndarray, logits: np.ndarray) -> float | np.ndarray:
     array over the leading axes, each term equal, bit for bit, to the one
     its ``(n, m)`` pair gives alone.
     """
-    pair = DistillPair(plan, logits)
+    plan = np.asarray(plan, float)
+    logits = np.asarray(logits, float)
+    if plan.shape != logits.shape:
+        raise DimensionError(f"plan {plan.shape} and logits {logits.shape} shapes differ")
+    if not np.isfinite(logits).all() or not np.isfinite(plan).all():
+        raise NonFiniteError("distillation operands must be finite")
 
     def directed(axis: int) -> np.ndarray:
-        lp = _log_softmax(pair.plan, axis)
-        lq = _log_softmax(pair.logits, axis)
+        lp = _log_softmax(plan, axis)
+        lq = _log_softmax(logits, axis)
         kl = np.exp(lp) * (lp - lq)
         # One contiguous sum per problem, in the order a 2-D np.sum takes.
         return kl.reshape(*kl.shape[:-2], -1).sum(axis=-1)
@@ -130,30 +115,6 @@ def _groups(keys) -> list[list[int]]:
     return list(groups.values())
 
 
-def distill_instances(
-    mentions, golds, sites=PIPELINE_SITES
-) -> dict[AssignmentSite, list[tuple[FeatureMatrix, FeatureMatrix]]]:
-    """The (destination, source) matrix pairs distilled at each site.
-
-    Cross-modal sites contribute one instance per record (each distinct
-    gold once); unimodal sites one per mention/gold pair.
-    """
-    entities = _unique_by_identity(golds)
-    instances: dict[AssignmentSite, list[tuple[FeatureMatrix, FeatureMatrix]]] = {}
-    for site in sites:
-        dst_kind, dst, src_kind, src = SITE_LEGS[site]
-        # Each leg's (destination record, source record).
-        if dst_kind == src_kind:
-            records = mentions if dst_kind == "mention" else entities
-            legs = zip(records, records)
-        elif dst_kind == "mention":
-            legs = zip(mentions, golds)
-        else:
-            legs = zip(golds, mentions)
-        instances[site] = [(getattr(d, dst), getattr(s, src)) for d, s in legs]
-    return instances
-
-
 def _gold_pairs(dataset: Dataset):
     """The dataset's mentions and their gold entities; there must be a mention."""
     mentions = list(dataset.mentions)
@@ -162,37 +123,20 @@ def _gold_pairs(dataset: Dataset):
     return mentions, [dataset.gold_of(m) for m in mentions]
 
 
-def distill_pairs(
-    mentions, golds, table: ProjectionTable, run: RunConfig, sites=PIPELINE_SITES
-) -> dict[AssignmentSite, list[DistillPair]]:
-    """Teacher plans and student logits for every distilled assignment.
-
-    Each assignment is solved on its own, one 2-D problem at a time.
-    """
-    solver = run.sinkhorn_config()
-    out: dict[AssignmentSite, list[DistillPair]] = {}
-    for site, pairs in distill_instances(mentions, golds, sites).items():
-        out[site] = []
-        for dst, src in pairs:
-            q, k, _ = project(dst, src, table[site])
-            cost = cosine_cost(q, k)
-            plan = sinkhorn(cost, Marginals.uniform(cost.n, cost.m), solver).data
-            out[site].append(DistillPair(plan, attention_logits(q, k)))
-    return out
-
-
 def distill_gap(
     dataset: Dataset,
     table: ProjectionTable,
     run: RunConfig = RunConfig(),
     sites=PIPELINE_SITES,
 ) -> dict[AssignmentSite, float]:
-    """Mean per-site divergence between transport plans and attention logits."""
+    """Mean per-site divergence between transport plans and attention logits.
+
+    The terms are those the ``kd`` objective sums (:class:`_BatchObjective`),
+    one per leg of each site, in the order of ``sites``.
+    """
     mentions, golds = _gold_pairs(dataset)
-    return {
-        site: float(np.mean([kd_pair_loss(p.plan, p.logits) for p in pairs]))
-        for site, pairs in distill_pairs(mentions, golds, table, run, sites).items()
-    }
+    terms, _ = _BatchObjective(mentions, golds, table, run, sites)._kd(table, False)
+    return {site: float(np.mean(terms[site])) for site in terms}
 
 
 # --- toy trainer ---------------------------------------------------------
@@ -265,7 +209,9 @@ class _BatchObjective:
     shape into parts, and all parts of one leg shape are solved as one
     stack. :meth:`evaluate` reads the matching losses from the gold
     columns of one :meth:`~otmel.matching.Scorer.score_grid`, and the
-    distillation term from one :func:`kd_pair_loss` per logits shape.
+    distillation term from one :func:`kd_pair_loss` per logits shape,
+    summed over each site's legs; :func:`distill_gap` averages the same
+    per-leg terms instead.
     Leading probe axes on a table entry's matrices give a row of arrays
     over them, each equal, bit for bit, to the row under that probe alone.
     """
@@ -282,7 +228,8 @@ class _BatchObjective:
         # Each part is one site's legs of one shape: (site, leg indices, dst, src).
         self._parts = []
         self._order = {}
-        for site, legs in distill_instances(self.mentions, golds, self.kd_sites).items():
+        for site in dict.fromkeys(self.kd_sites):
+            legs = self._legs(site, golds)
             by_shape = _groups([(dst.rows, src.rows) for dst, src in legs])
             for ks in by_shape:
                 dst = np.stack([legs[k][0].data for k in ks])
@@ -306,9 +253,26 @@ class _BatchObjective:
             for p, plan in zip(group, np.split(plans, cuts)):
                 self._teachers[p] = plan
 
-    def _kd(self, table, gradient: bool):
-        """The distillation term under ``table``, probe axes leading.
+    def _legs(self, site, golds) -> list[tuple[FeatureMatrix, FeatureMatrix]]:
+        """The (destination, source) matrices of each of ``site``'s legs.
 
+        Cross-modal sites have one leg per record (each distinct gold
+        once); unimodal sites one per mention/gold pair.
+        """
+        dst_kind, dst, src_kind, src = SITE_LEGS[site]
+        if dst_kind == src_kind:
+            records = self.mentions if dst_kind == "mention" else self.entities
+            pairs = zip(records, records)
+        elif dst_kind == "mention":
+            pairs = zip(self.mentions, golds)
+        else:
+            pairs = zip(golds, self.mentions)
+        return [(getattr(d, dst), getattr(s, src)) for d, s in pairs]
+
+    def _kd(self, table, gradient: bool):
+        """Each distilled site's terms under ``table``, one per leg in leg order.
+
+        The terms' last axis runs over the legs, after any probe axes.
         Also, per part, its (Q, K) and, with ``gradient``, the term's
         gradient by its logits.
         """
@@ -330,14 +294,13 @@ class _BatchObjective:
                 d_stacked = _kd_grad(teachers, stacked)
                 for p, d in zip(group, np.split(d_stacked, cuts, axis=-3)):
                     d_logits[p] = d
-        l_kd = 0.0
-        for site in self.kd_sites:
-            own = [term for (s, *_), term in zip(self._parts, terms) if s == site]
-            # Left to right in leg order, as a loop over the legs adds.
-            kd = np.concatenate(own, axis=-1)[..., self._order[site]]
-            kd = np.cumsum(kd, axis=-1)[..., -1]
-            l_kd = l_kd + (float(kd) if kd.ndim == 0 else kd)
-        return l_kd, list(zip(qk, d_logits))
+        by_site = {
+            site: np.concatenate(
+                [term for (s, *_), term in zip(self._parts, terms) if s == site], axis=-1
+            )[..., order]
+            for site, order in self._order.items()
+        }
+        return by_site, list(zip(qk, d_logits))
 
     def evaluate(self, table: ProjectionTable, gradient: bool = False):
         """The row under ``table`` and, with ``gradient``, its total's gradient.
@@ -362,7 +325,12 @@ class _BatchObjective:
         l_t = loss(grid.s_t, scorer.uses_unimodal)
         l_v = loss(grid.s_v, scorer.uses_unimodal)
         l_o = loss(grid.s_o)
-        l_kd, kd_backward = self._kd(table, gradient)
+        kd_terms, kd_backward = self._kd(table, gradient)
+        l_kd = 0.0
+        for site in self.kd_sites:
+            # Left to right in leg order, as a loop over the legs adds.
+            kd = np.cumsum(kd_terms[site], axis=-1)[..., -1]
+            l_kd = l_kd + (float(kd) if kd.ndim == 0 else kd)
         row = TraceRow(
             step=0,
             l_f=l_f,

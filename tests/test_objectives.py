@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from otmel.cli import _fmt, main
 from otmel.config import RunConfig
 from otmel.correlation import (
     PIPELINE_SITES,
@@ -16,16 +17,16 @@ from otmel.correlation import (
     assign,
     cosine_cost,
     default_projections,
+    identity_projections,
     interact_record,
     ot_assign,
 )
-from otmel.data_io import Dataset
+from otmel.data_io import Dataset, load_manifest
 from otmel.errors import ConfigError, DimensionError, NonFiniteError
-from otmel.fixtures import FixtureSpec, make_dataset
+from otmel.fixtures import FixtureSpec, generate_fixtures, make_dataset
 from otmel.matching import Scorer
 from otmel.objectives import (
     TRAINING_TOL,
-    DistillPair,
     ToyTrainConfig,
     _BatchObjective,
     _cosine_grads,
@@ -34,7 +35,6 @@ from otmel.objectives import (
     batch_loss_report,
     contrastive_loss,
     distill_gap,
-    distill_pairs,
     fd_gradient,
     kd_pair_loss,
     toy_train,
@@ -42,6 +42,7 @@ from otmel.objectives import (
 from otmel.types import EntityRecord, FeatureMatrix, MentionRecord
 
 from conftest import make_record
+from reference import distill_pairs
 
 
 def kd_oracle(plan, logits):
@@ -145,11 +146,11 @@ class TestKdLoss:
 
     def test_shape_mismatch_rejected(self, rng):
         with pytest.raises(DimensionError):
-            DistillPair(rng.random((2, 3)), rng.random((3, 2)))
+            kd_pair_loss(rng.random((2, 3)), rng.random((3, 2)))
 
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteError):
-            DistillPair(np.array([[np.nan]]), np.array([[0.0]]))
+            kd_pair_loss(np.array([[np.nan]]), np.array([[0.0]]))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -820,6 +821,52 @@ class TestDistillGap:
         )
         after = np.mean(list(distill_gap(held_ds, trained, RunConfig()).values()))
         assert after < before
+
+
+class TestDistillGapMatchesPerLeg:
+    """distill_gap reads the trainer's stacked terms; they equal the per-leg ones."""
+
+    @staticmethod
+    def per_leg_gaps(dataset, table, run, sites):
+        pairs = distill_pairs(*batch_of(dataset), table, run, sites)
+        return {
+            site: float(np.mean([kd_pair_loss(p.plan, p.logits) for p in pairs[site]]))
+            for site in sites
+        }
+
+    def test_equals_per_leg_means_bitwise(
+        self, tiny_dataset, repeated_golds_dataset, mixed_lengths_dataset, tiny_table
+    ):
+        datasets = (tiny_dataset, repeated_golds_dataset, mixed_lengths_dataset)
+        site_sets = (PIPELINE_SITES, tuple(AssignmentSite))
+        for dataset, sites, tol, sharpness in itertools.product(
+            datasets, site_sets, (1e-9, RunConfig.tol), (0.6, 30.0)
+        ):
+            run = RunConfig(tol=tol, sharpness=sharpness)
+            gaps = distill_gap(dataset, tiny_table, run, sites)
+            assert list(gaps) == list(sites)
+            expected = self.per_leg_gaps(dataset, tiny_table, run, sites)
+            for site in sites:
+                assert gaps[site] == expected[site], (site, tol, sharpness)
+
+    def test_no_sites_no_gaps(self, tiny_dataset, tiny_table):
+        assert distill_gap(tiny_dataset, tiny_table, RunConfig(), ()) == {}
+
+    def test_cli_prints_per_leg_means(self, capsys, tmp_path):
+        spec = FixtureSpec(
+            seed=5, d=12, n_entities=3, n_mentions=3, text_len=4, visual_len=4
+        )
+        manifest = generate_fixtures(spec, tmp_path / "fix")
+        dataset = load_manifest(manifest)
+        expected = self.per_leg_gaps(
+            dataset, identity_projections(12), RunConfig(), PIPELINE_SITES
+        )
+        assert main(["distill-gap", str(manifest)]) == 0
+        lines = [f"{site.value},{_fmt(gap)}" for site, gap in expected.items()]
+        mean = _fmt(float(np.mean(list(expected.values()))))
+        assert capsys.readouterr().out.splitlines() == [
+            "site,mean_kd", *lines, f"# mean_over_sites={mean}"
+        ]
 
 
 class TestBatchLossReport:
