@@ -37,14 +37,7 @@ from .errors import (
 )
 from .evaluation import RankingResult, hits_at_k, mrr, rank_all, rank_candidates
 from .fixtures import FixtureSpec, generate_fixtures, make_dataset
-from .matching import (
-    CatalogScores,
-    Scorer,
-    fused_score,
-    overall_score,
-    softpool,
-    unimodal_score,
-)
+from .matching import CatalogScores, Scorer
 from .objectives import (
     ToyTrainConfig,
     contrastive_loss,

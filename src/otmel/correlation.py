@@ -219,7 +219,7 @@ def _cosine(q, k, q_norms=None) -> np.ndarray:
 
 def _transport(q, k, h, config: SinkhornConfig) -> AssignmentResult:
     cost = cosine_cost(q, k)
-    # One problem keeps the 2-D loop, which does less per iteration.
+    # A lone problem's plan keeps sinkhorn's Python-scalar diagnostics.
     solve = sinkhorn if cost.data.ndim == 2 else sinkhorn_stack
     plan = solve(cost, Marginals.uniform(cost.n, cost.m), config)
     return AssignmentResult(a=plan.data, g=plan.data @ h, plan=plan)

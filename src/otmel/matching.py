@@ -12,9 +12,7 @@ through it.
 from __future__ import annotations
 
 import functools
-from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -30,8 +28,6 @@ from .correlation import (
     SITE_LEGS,
     UNIMODAL_SITES,
     ProjectionTable,
-    RecordInteraction,
-    assign,
     assignment_scores,
     assignment_stack,
     record_sites,
@@ -40,46 +36,8 @@ from .errors import ConfigError, DimensionError
 from .ot import SinkhornConfig
 from .types import EntityRecord, FeatureMatrix, MatchScores, MentionRecord
 
-PoolMember = Union[FeatureMatrix, np.ndarray]
-
 # Records per stacked block, so no temporary grows with the catalog.
 _BLOCK = 32
-
-
-def _stack(members: Sequence[PoolMember]) -> np.ndarray:
-    if len(members) == 0:
-        raise ConfigError("pooling requires at least one member matrix")
-    arrays = [
-        m.data if isinstance(m, FeatureMatrix) else np.asarray(m, float)
-        for m in members
-    ]
-    if len(arrays) == 1:
-        return arrays[0]
-    cols = {a.shape[-1] for a in arrays}
-    if len(cols) != 1:
-        raise DimensionError(f"pool members disagree on d: {sorted(cols)}")
-    return np.concatenate(arrays, axis=-2)
-
-
-def softpool(members: Sequence[PoolMember]) -> np.ndarray:
-    """Exponentially weighted column-wise pooling over all stacked rows.
-
-    Every member's rows are stacked into one matrix; per column, rows are
-    weighted by a softmax of their own values (max-subtracted for
-    stability) and summed. The result lands between the column mean and
-    the column max, leaning toward the most activated rows. Members with
-    leading stack axes pool each stacked problem on its own.
-    """
-    return _pool(_stack(members), POOL_SOFT)
-
-
-def stack_pool(members: Sequence[PoolMember], kind: str = POOL_SOFT) -> np.ndarray:
-    """Pool stacked member rows into a single d-vector by the chosen rule.
-
-    The members' rows are joined on axis -2 and pooled by the code batch
-    scoring pools its row buffers with (see :func:`_workspace`).
-    """
-    return _pool(_stack(members), kind)
 
 
 def _pool(x: np.ndarray, kind: str, work=None, out=None) -> np.ndarray:
@@ -120,17 +78,6 @@ def _workspace(problems: tuple, rows: int, d: int) -> np.ndarray:
     return np.empty((rows,) + problems + (d,)).transpose(*range(1, k + 1), 0, k + 1)
 
 
-def pooled_pair(
-    record: MentionRecord | EntityRecord,
-    interaction: RecordInteraction,
-    pool: str = POOL_SOFT,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pool each modality together with the features transported into it."""
-    text = stack_pool([record.text, interaction.v2t.g], pool)
-    visual = stack_pool([record.visual, interaction.t2v.g], pool)
-    return text, visual
-
-
 def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Inner products of the last axes, broadcast over leading axes.
 
@@ -140,52 +87,15 @@ def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
-def fused_score(
-    mention_pooled: tuple[np.ndarray, np.ndarray],
-    entity_pooled: tuple[np.ndarray, np.ndarray],
-) -> float:
-    """Inner product of the concatenated pooled representations.
-
-    Equals the sum of the per-modality inner products.
-    """
-    m_text, m_vis = mention_pooled
-    e_text, e_vis = entity_pooled
-    if m_text.shape != e_text.shape or m_vis.shape != e_vis.shape:
-        raise DimensionError("pooled vectors disagree in dimension")
-    return float(m_text @ e_text + m_vis @ e_vis)
-
-
-def unimodal_score(
-    mention_side: FeatureMatrix,
-    entity_side: FeatureMatrix,
-    proj,
-    mechanism: str,
-    config: SinkhornConfig = SinkhornConfig(),
-    pool: str = POOL_SOFT,
-) -> float:
-    """Single-modality match score between a mention and an entity.
-
-    The entity sequence queries the mention sequence, mention features are
-    transported onto entity positions and pooled, and the score averages
-    the pooled-versus-summary and summary-versus-summary inner products.
-    Row 0 of each matrix is its summary row.
-    """
-    result = assign(entity_side, mention_side, proj, mechanism, config)
-    pooled = stack_pool([result.g], pool)
-    return float(_unimodal_value(pooled, mention_side.summary, entity_side.summary))
-
-
-def _unimodal_value(pooled, t_m, t_e) -> np.ndarray:
+def _unimodal_sum(pooled, t_e, summaries) -> np.ndarray:
     """The unimodal score from the pooled transported mention features.
 
-    ``t_m`` and ``t_e`` are the mention and entity summary rows; a stack of
-    ``pooled`` and ``t_e`` gives one score per stacked entity.
+    The score averages the pooled-versus-summary and summary-versus-summary
+    inner products: ``t_e`` holds the entity summary rows and
+    ``summaries`` the mention and entity summary rows' products, which
+    depend on neither plan nor pool. Stacked ``pooled`` and ``t_e`` give
+    one score per stacked entity.
     """
-    return _unimodal_sum(pooled, t_e, _rowdot(t_m, t_e))
-
-
-def _unimodal_sum(pooled, t_e, summaries) -> np.ndarray:
-    """:func:`_unimodal_value` given the summary rows' products ``summaries``."""
     return 0.5 * (_rowdot(pooled, t_e) + summaries)
 
 
@@ -203,11 +113,11 @@ def _chunks(items: list, size: int) -> list[list]:
     return [items[s : s + size] for s in range(0, len(items), size)]
 
 
-def _by_rows(sides: list[FeatureMatrix]) -> list[list[int]]:
-    """Indices of ``sides`` grouped by row count."""
-    groups: dict[int, list[int]] = {}
-    for i, side in enumerate(sides):
-        groups.setdefault(side.rows, []).append(i)
+def _groups(keys) -> list[list[int]]:
+    """Indices of ``keys`` grouped by equal key, in first-seen order."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
     return list(groups.values())
 
 
@@ -363,9 +273,9 @@ class Scorer:
     mentions against a whole catalog in stacked array operations, solving
     many pairs' transport problems in one stack and pooling each block's
     transported rows in row buffers that the rest of its job reuses
-    (:func:`_workspace`). Every score equals, bit for bit, the one
-    :func:`fused_score`, :func:`pooled_pair` and :func:`unimodal_score`
-    give for the pair alone, whatever else shares the call.
+    (:func:`_workspace`). Every score equals, bit for bit, the one the
+    per-pair reference in ``tests/reference.py`` gives for the pair alone,
+    whatever else shares the call.
     A table entry may carry leading probe axes on its matrices, such as
     :func:`~otmel.objectives.fd_gradient`'s ``(P, 1, d, d)`` stacks of
     perturbed copies, whose unit axis broadcasts over the stacked records.
@@ -504,7 +414,7 @@ class Scorer:
                 proj = self.projections[site]
                 sides = [getattr(e, SITE_LEGS[site][1]) for e in entities]
                 blocks[site] = []
-                for rows in _by_rows(sides):
+                for rows in _groups([s.rows for s in sides]):
                     for index in _chunks(rows, _BLOCK):
                         # Each entity is projected alone, as a lone pair projects it.
                         q = np.concatenate(
@@ -532,7 +442,7 @@ class Scorer:
         grid, width = [None], len(catalog.entities)
         for block in catalog.blocks[site]:
             n, count = block.q.shape[-2], len(block.index)
-            for group in _by_rows(sides):
+            for group in _groups([s.rows for s in sides]):
                 m = sides[group[0]].rows
                 per_solve = max(1, _per_solve(n, m, proj.dim) // count)
                 for chunk in _chunks(group, per_solve):
@@ -646,12 +556,3 @@ class Scorer:
         """All match scores for one pair; ablated components read 0."""
         return self.score_all(mention, [entity]).row(0)
 
-
-def overall_score(
-    mention: MentionRecord,
-    entity: EntityRecord,
-    projections: ProjectionTable,
-    config: RunConfig = RunConfig(),
-) -> MatchScores:
-    """One-shot convenience wrapper around :class:`Scorer`."""
-    return Scorer(projections, config).scores(mention, entity)

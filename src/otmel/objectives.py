@@ -46,7 +46,7 @@ from .correlation import (
 )
 from .data_io import Dataset
 from .errors import ConfigError, DataError, DimensionError, NonFiniteError
-from .matching import Scorer
+from .matching import Scorer, _groups
 # Unused here; the benchmark's tracer still wraps this binding.
 from .ot import sinkhorn  # noqa: F401
 from .types import FeatureMatrix
@@ -105,14 +105,6 @@ def kd_pair_loss(plan: np.ndarray, logits: np.ndarray) -> float | np.ndarray:
 
 def _unique_by_identity(records):
     return list({id(r): r for r in records}.values())
-
-
-def _groups(keys) -> list[list[int]]:
-    """Indices of ``keys`` grouped by equal key, in first-seen order."""
-    groups: dict = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    return list(groups.values())
 
 
 def _gold_pairs(dataset: Dataset):
@@ -424,7 +416,7 @@ def _kd_grad(plans: np.ndarray, logits: np.ndarray) -> np.ndarray:
 
 
 def _pool_grad(x: np.ndarray, d_out: np.ndarray, kind: str) -> np.ndarray:
-    """d loss / d x from d loss / d ``stack_pool([x], kind)``, over stacked x."""
+    """d loss / d x from d loss / d ``matching._pool(x, kind)``, over stacked x."""
     d_out = d_out[..., None, :]
     if kind == POOL_MEAN:
         return np.broadcast_to(d_out / x.shape[-2], x.shape)

@@ -10,14 +10,14 @@ uniform marginals is included as a test oracle, together with plan
 diagnostics (cost, entropy).
 
 Costs and plans may carry leading stack axes: a ``(..., n, m)`` cost is
-a stack of independent ``n x m`` problems. :func:`sinkhorn` solves one
-problem; :func:`sinkhorn_stack` solves a stack in one scaling loop, whose
-last two problems finish in the one-problem loop, with each problem
-giving the same result, bit for bit, as :func:`sinkhorn` on it alone.
-Its inner solve, :func:`_solve_stack`, returns the bare plans and the
-scaling's diagnostics, for callers that read nothing else. Kernel and
-plans share one buffer: the kernel is exponentiated and clamped in place,
-and rounding scales it into the plans.
+a stack of independent ``n x m`` problems. One solve, :func:`_solve_stack`,
+returns the bare plans and the scaling's diagnostics, for callers that
+read nothing else; its stack loop hands the last two problems to the
+one-problem loop. :func:`sinkhorn_stack` wraps it for a stack, and
+:func:`sinkhorn` for one problem, as a stack of one, so each problem of
+a stack gives the same result, bit for bit, as :func:`sinkhorn` on it
+alone. Kernel and plans share one buffer: the kernel is exponentiated
+and clamped in place, and rounding scales it into the plans.
 
 Both loops check the marginal error once per run of scaling pairs, not
 after every pair: a run keeps its iterates and computes all their errors
@@ -296,35 +296,35 @@ def sinkhorn(
     by a rank-1 term. The returned plan meets both marginals to
     floating-point accuracy, converged or not, and lies within twice the
     residual (L1) of the scaled plan. Deterministic for fixed inputs; never
-    raises on slow convergence. Solves one 2-D problem; see
-    :func:`sinkhorn_stack` for many. Runs longer than one pair are written
-    into buffers through ``ndarray.dot``, the same gemv as ``np.matmul``.
+    raises on slow convergence. Solves one 2-D problem, as the stack solve
+    on a stack of one, which runs it in the 2-D loop :func:`_scaled`; its
+    diagnostics are Python scalars. See :func:`sinkhorn_stack` for many.
     """
-    kernel, clamped = _kernel(cost, marginals, config)
-    if kernel.ndim != 2:
+    shape = np.shape(cost.data if isinstance(cost, CostMatrix) else cost)
+    if len(shape) > 2:
         raise DimensionError(
-            f"sinkhorn solves one 2-D problem, got shape {kernel.shape}; "
+            f"sinkhorn solves one 2-D problem, got shape {shape}; "
             "use sinkhorn_stack for a stack"
         )
-    v, kv, kv_prev, err, done = _scaled(kernel, marginals, config)
-    plan = _rounded(kernel, v, kv, kv_prev, marginals)
+    plan, iterations, residual, converged = _solve_stack(cost, marginals, config)
     return TransportPlan(
         data=plan,
         achieved_marginal_error=float(_achieved(plan, marginals)),
-        iterations_used=done,
-        converged=bool(err < config.tol and not clamped),
-        residual=float(err),
+        iterations_used=int(iterations),
+        converged=bool(converged),
+        residual=float(residual),
     )
 
 
 def _scaled(kernel, marginals, config: SinkhornConfig, kv=None, done: int = 0):
-    """The 2-D scaling loop of :func:`sinkhorn` on its kernel.
+    """The 2-D scaling loop on one problem's kernel.
 
-    Starts from all-ones scaling vectors, or resumes a solve ``done``
-    pairs in from its ``kv = K v``, as :func:`sinkhorn_stack` hands over
-    its last problems; either way it stops at the pair where one
-    uninterrupted solve stops. Returns that pair's ``v``, its ``K v``
-    after and before the pair, its L1 marginal error and the pairs done.
+    Starts from all-ones scaling vectors, as a stack of one or two does,
+    or resumes a solve ``done`` pairs in from its ``kv = K v``, as
+    :func:`_solve_stack` hands over its last problems; either way it
+    stops at the pair where one uninterrupted solve stops. Returns that
+    pair's ``v``, its ``K v`` after and before the pair, its L1 marginal
+    error and the pairs done.
     """
     mu, nu = marginals.mu, marginals.nu
     tol, max_iter = config.tol, config.max_iter
@@ -403,14 +403,16 @@ def _solve_stack(cost, marginals: Marginals, config: SinkhornConfig):
     a :class:`TransportPlan`. One alternating-scaling loop updates every
     problem still active. Errors are checked once per run of pairs, and a
     problem's plan is built from the first pair under ``tol``, the pair
-    where :func:`sinkhorn` on it alone stops; problems that stopped leave
-    the active set at the end of the run. Once at most :data:`_HANDOFF`
-    problems are active, each finishes in :func:`sinkhorn`'s 2-D loop,
-    resumed from its ``K v`` and pair count: a stack's pair costs several
-    times a 2-D pair, and at high sharpness the slowest problems, which
-    often come in twos such as one record's two cross-modal directions,
-    run hundreds of pairs after the rest have stopped. Each problem is
-    rounded the same way as a lone one. The kernel is computed in one
+    where a check after every pair would stop it; problems that stopped
+    leave the active set at the end of the run. Once at most
+    :data:`_HANDOFF` problems are active, each finishes in the 2-D loop
+    :func:`_scaled`, resumed from its ``K v`` and pair count (a stack of
+    :data:`_HANDOFF` or fewer, such as :func:`sinkhorn`'s stack of one,
+    runs there from the start): a stack's pair costs several times a 2-D
+    pair, and at high sharpness the slowest problems, which often come in
+    twos such as one record's two cross-modal directions, run hundreds of
+    pairs after the rest have stopped. Each problem is rounded the same
+    way as a lone one. The kernel is computed in one
     buffer, which rounding turns into the plans.
     """
     kernel, clamped = _kernel(cost, marginals, config)

@@ -23,22 +23,19 @@ from otmel.correlation import (
     interact_record,
 )
 from otmel.errors import ConfigError, DimensionError
-from otmel.matching import (
-    Scorer,
-    _pool,
-    _unimodal_value,
-    _workspace,
-    fused_score,
-    overall_score,
-    pooled_pair,
-    softpool,
-    stack_pool,
-    unimodal_score,
-)
+from otmel.matching import Scorer, _pool, _workspace
 from otmel.ot import SinkhornConfig
 from otmel.types import EntityRecord, FeatureMatrix, MatchScores, MentionRecord
 
 from conftest import make_record
+from reference import (
+    fused_score,
+    pooled_pair,
+    softpool,
+    stack_pool,
+    unimodal_score,
+    unimodal_value,
+)
 
 
 def softpool_oracle(columns):
@@ -216,7 +213,7 @@ class TestOverallScore:
     def test_mean_identity(self, rng, identity_table):
         m = make_record(rng, "mention", d=8)
         e = make_record(rng, "entity", d=8)
-        s = overall_score(m, e, identity_table)
+        s = Scorer(identity_table).scores(m, e)
         assert s.s_o == pytest.approx((s.s_f + s.s_t + s.s_v) / 3, abs=1e-9)
 
     def test_identical_pair_beats_orthogonal(self, rng, identity_table):
@@ -232,22 +229,22 @@ class TestOverallScore:
             text=FeatureMatrix(np.outer(np.ones(3), basis[:, 1])),
             visual=FeatureMatrix(np.outer(np.ones(4), basis[:, 1])),
         )
-        s_twin = overall_score(mention, twin, identity_table)
-        s_ortho = overall_score(mention, ortho, identity_table)
+        s_twin = Scorer(identity_table).scores(mention, twin)
+        s_ortho = Scorer(identity_table).scores(mention, ortho)
         assert s_twin.s_o > s_ortho.s_o
 
     def test_ablation_excludes_and_renormalizes(self, rng, identity_table):
         m = make_record(rng, "mention", d=8)
         e = make_record(rng, "entity", d=8)
-        full = overall_score(m, e, identity_table)
-        no_fused = overall_score(
-            m, e, identity_table, RunConfig(ablations=frozenset({"no_fusm"}))
-        )
+        full = Scorer(identity_table).scores(m, e)
+        no_fused = Scorer(
+            identity_table, RunConfig(ablations=frozenset({"no_fusm"}))
+        ).scores(m, e)
         assert no_fused.s_f == 0.0
         assert no_fused.s_o == pytest.approx((full.s_t + full.s_v) / 2, abs=1e-9)
-        no_uni = overall_score(
-            m, e, identity_table, RunConfig(ablations=frozenset({"no_unim"}))
-        )
+        no_uni = Scorer(
+            identity_table, RunConfig(ablations=frozenset({"no_unim"}))
+        ).scores(m, e)
         assert no_uni.s_t == 0.0 and no_uni.s_v == 0.0
         assert no_uni.s_o == pytest.approx(full.s_f, abs=1e-9)
 
@@ -722,7 +719,7 @@ class TestRowsFirstPooling:
                     for j, entity in enumerate(entities):
                         m_side, e_side = getattr(mention, attr), getattr(entity, attr)
                         g = assign(e_side, m_side, tbl[uni], mechanism, solver).g
-                        want = _unimodal_value(
+                        want = unimodal_value(
                             stack_pool([g], pool), m_side.summary, e_side.summary
                         )
                         assert got[i, j] == want

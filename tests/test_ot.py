@@ -103,6 +103,11 @@ class TestSinkhorn:
         assert plan.achieved_marginal_error == 0.0
         assert plan.converged
         assert plan.residual < SinkhornConfig().tol
+        # One problem's diagnostics are Python scalars, not 0-d arrays.
+        assert type(plan.converged) is bool
+        assert type(plan.iterations_used) is int
+        assert type(plan.residual) is float
+        assert type(plan.achieved_marginal_error) is float
 
     def test_symmetric_2x2_matches_oracle(self):
         # Frozen from scaling_oracle([[0,1],[1,0]], (1/2,1/2), (1/2,1/2), 0.6):
@@ -136,6 +141,14 @@ class TestSinkhorn:
             sinkhorn(CostMatrix(np.zeros((2, 2))), Marginals.uniform(3, 2))
         with pytest.raises(DimensionError):
             sinkhorn(CostMatrix(np.zeros((4, 2, 2))), Marginals.uniform(2, 2))
+
+    def test_cost_axes_checked_before_solving(self):
+        with pytest.raises(DimensionError, match="at least 2-D"):
+            sinkhorn(np.zeros(3), Marginals.uniform(3, 1))
+        # A stack is turned away before its values are looked at.
+        stack = np.full((2, 2, 2), np.nan)
+        with pytest.raises(DimensionError, match="use sinkhorn_stack"):
+            sinkhorn(stack, Marginals.uniform(2, 2))
 
     def test_non_finite_cost_rejected(self):
         with pytest.raises(NonFiniteError):
