@@ -47,6 +47,7 @@ from .correlation import (
 from .data_io import Dataset
 from .errors import ConfigError, DataError, DimensionError, NonFiniteError
 from .matching import Scorer, _groups
+from .ot import _dual_system
 # Unused here; the benchmark's tracer still wraps this binding.
 from .ot import sinkhorn  # noqa: F401
 from .types import FeatureMatrix
@@ -444,21 +445,19 @@ def _cost_grad(plan: np.ndarray, d_plan: np.ndarray, sharpness: float) -> np.nda
     Implicit differentiation (Eisenberger et al., CVPR 2022): with G the
     plan's gradient and mu, nu its row and column sums, ``[alpha; beta]``
     solves ``[[diag mu, P], [P^T, diag nu]] [alpha; beta] = [(G*P)1; (G*P)^T 1]``
-    with ``beta_m = 0``, and ``dL/dC = -sharpness * P * (G - alpha 1^T - 1 beta^T)``.
+    with ``beta_m = 0`` (:func:`~otmel.ot._dual_system`, the system the
+    solver's Newton steps solve), and
+    ``dL/dC = -sharpness * P * (G - alpha 1^T - 1 beta^T)``.
     An unconverged solve gets the formula at the plan it returned. The
     system is solved by pseudo-inverse: where underflow splits a plan's
     support into blocks, each block has a gauge of its own, and any
     solution gives the same gradient.
     """
-    n, m = plan.shape[-2:]
-    system = np.block([
-        [plan.sum(axis=-1)[..., None] * np.eye(n), plan],
-        [plan.swapaxes(-1, -2), plan.sum(axis=-2)[..., None] * np.eye(m)],
-    ])
+    n = plan.shape[-2]
+    system = _dual_system(plan, plan.sum(axis=-1), plan.sum(axis=-2))
     gp = d_plan * plan
     rhs = np.concatenate([gp.sum(axis=-1), gp.sum(axis=-2)], axis=-1)
-    # The gauge beta_m = 0 drops the last row and column.
-    inverse = np.linalg.pinv(system[..., :-1, :-1], hermitian=True)
+    inverse = np.linalg.pinv(system, hermitian=True)
     dual = np.zeros(rhs.shape)
     dual[..., :-1] = (inverse @ rhs[..., :-1, None])[..., 0]
     return -sharpness * plan * (d_plan - dual[..., :n, None] - dual[..., None, n:])

@@ -28,6 +28,15 @@ iterates; the pairs after it in its run are discarded. The one-problem
 loop writes its longer runs into buffers allocated once per solve, and
 takes its products through ``ndarray.dot``, the same gemv as ``matmul``,
 so a pair costs four numpy calls.
+
+Sharp plans converge slowly under plain scaling. A problem still above
+``tol`` after :data:`_NEWTON_AT` pairs, on an unclamped kernel, takes a
+few Newton steps on its dual there (Brauer, Clason, Lorenz & Wirth 2017,
+"A Sinkhorn–Newton method for entropic optimal transport"), one batched
+linear solve per step over the problems that take it, and then goes on
+with scaling pairs, so every returned iterate is a scaling pair's and
+``iterations_used`` counts pairs only. A solve that stops by that pair
+never takes a step, and its plan is the plain scaling's.
 """
 
 from __future__ import annotations
@@ -52,6 +61,11 @@ _MAX_RUN = 32
 
 # Active problems few enough that a stack hands each to the 2-D loop.
 _HANDOFF = 2
+
+# The pair after which a problem still above tol takes Newton steps on its
+# dual, and the most steps it takes there.
+_NEWTON_AT = 32
+_NEWTON_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -238,6 +252,115 @@ def _pairs(kernel, kernel_t, kv, mu, nu, steps: int):
     return vs, kvs, err
 
 
+def _run_length(done: int, longest: int, max_iter: int) -> int:
+    """Scaling pairs in the next run of a solve ``done`` pairs in.
+
+    Single pairs until four are done, so fast solves allocate no buffers;
+    then half the pairs done, up to ``longest``, so a solve overshoots its
+    stop by at most half again. The count starts over at the Newton pair,
+    since most problems stop at the pair after their Newton steps. A run
+    ends at the Newton pair and never passes ``max_iter``.
+    """
+    fresh = done - _NEWTON_AT if done >= _NEWTON_AT else done
+    steps = fresh // 2 or 1
+    if steps > 1:
+        end = min(_NEWTON_AT, max_iter) if done < _NEWTON_AT else max_iter
+        steps = min(steps, longest, end - done)
+    return steps
+
+
+def _dual_system(plan, rows, cols) -> np.ndarray:
+    """The gauge-fixed Jacobian of the marginals in the log-scalings.
+
+    ``[[diag rows, P], [P^T, diag cols]]`` for plans ``P`` with row sums
+    ``rows`` and column sums ``cols``, over any leading stack axes, less
+    its last row and column: adding a constant to the row potentials and
+    taking it from the column ones leaves the plan as it is, so the last
+    column potential is held at 0. The solver's Newton steps solve it, and
+    so does the implicit gradient of a plan in the ``ot`` objective.
+    """
+    n, m = plan.shape[-2:]
+    size = n + m - 1
+    system = np.zeros(plan.shape[:-2] + (size, size))
+    system[..., :n, n:] = plan[..., :-1]
+    system[..., n:, :n] = plan[..., :-1].swapaxes(-1, -2)
+    diagonal = system.reshape(plan.shape[:-2] + (size * size,))[..., :: size + 1]
+    diagonal[...] = np.concatenate([rows, cols[..., :-1]], axis=-1)
+    return system
+
+
+def _solved(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve`` on each problem of a stack; NaN where a system is singular.
+
+    A singular system makes a batched solve raise for the whole stack, so
+    then each problem is solved alone, by the same batched call on a stack
+    of one, and gets the bits it gets in any stack.
+    """
+    try:
+        return np.linalg.solve(system, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full(rhs.shape, np.nan)
+        for b in range(len(rhs)):
+            try:
+                out[b] = np.linalg.solve(system[b : b + 1], rhs[b : b + 1, :, None])[0, :, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _newton(kernel, v, kv, kv_prev, err, marginals: Marginals, tol: float):
+    """Newton steps on the duals of a ``(B, n, m)`` stack of scaled problems.
+
+    Sinkhorn–Newton (Brauer, Clason, Lorenz & Wirth 2017): from a scaling
+    pair's ``u = mu / kv_prev`` and ``v``, with ``kv = K v`` and L1
+    marginal error ``err``, each step solves :func:`_dual_system` for the
+    step in the log-scalings that zeroes the marginal error to first
+    order, with the last column potential held, and multiplies ``u`` and
+    ``v`` by its exponential. A problem keeps a step only if its scalings
+    stay finite and positive and its error falls; it takes steps until its
+    error is under ``tol``, a step is refused, or :data:`_NEWTON_STEPS`
+    are taken. Returns each problem's ``K v`` for the scaling pairs that
+    resume from it: the given ``kv``, bit for bit, where no step was kept.
+    Each problem's result is the same whatever else shares the stack.
+    """
+    mu, nu = marginals.mu, marginals.nu
+    n = kernel.shape[-2]
+    u, v, kv, err = mu / kv_prev, v.copy(), kv.copy(), err.copy()
+    kt_u = _matvec(kernel.swapaxes(-1, -2), u)
+    live = err >= tol
+    # A refused step may overflow or divide by zero on the way; the checks
+    # below drop it.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            idx = np.flatnonzero(live)
+            if not idx.size:
+                break
+            k = kernel[idx]
+            rows, cols = u[idx] * kv[idx], v[idx] * kt_u[idx]
+            plan = u[idx, :, None] * k * v[idx, None, :]
+            rhs = np.concatenate([mu - rows, (nu - cols)[:, :-1]], axis=-1)
+            step = np.exp(_solved(_dual_system(plan, rows, cols), rhs))
+            u_new = u[idx] * step[:, :n]
+            v_new = v[idx]
+            v_new[:, :-1] *= step[:, n:]
+            kv_new = _matvec(k, v_new)
+            kt_u_new = _matvec(k.swapaxes(-1, -2), u_new)
+            err_new = np.abs(u_new * kv_new - mu).sum(-1)
+            err_new += np.abs(v_new * kt_u_new - nu).sum(-1)
+            scalings = np.concatenate([u_new, v_new], axis=-1)
+            kept = (
+                np.isfinite(scalings).all(-1)
+                & (scalings > 0).all(-1)
+                & (err_new < err[idx])
+            )
+            live[idx[~kept]] = False
+            good = idx[kept]
+            u[good], v[good], kv[good] = u_new[kept], v_new[kept], kv_new[kept]
+            kt_u[good], err[good] = kt_u_new[kept], err_new[kept]
+            live &= err >= tol
+    return kv
+
+
 def _rounded(kernel, v, kv, kv_prev, marginals: Marginals) -> np.ndarray:
     """Round scaled plans onto the marginals, in the kernel's own buffer.
 
@@ -295,7 +418,10 @@ def sinkhorn(
     ``mu`` are shrunk and the remaining row and column deficits are filled
     by a rank-1 term. The returned plan meets both marginals to
     floating-point accuracy, converged or not, and lies within twice the
-    residual (L1) of the scaled plan. Deterministic for fixed inputs; never
+    residual (L1) of the scaled plan. A solve still above ``tol`` after
+    :data:`_NEWTON_AT` pairs takes Newton steps on its dual there
+    (:func:`_newton`) and then goes on with pairs, so most sharp solves
+    stop one pair later. Deterministic for fixed inputs; never
     raises on slow convergence. Solves one 2-D problem, as the stack solve
     on a stack of one, which runs it in the 2-D loop :func:`_scaled`; its
     diagnostics are Python scalars. See :func:`sinkhorn_stack` for many.
@@ -316,15 +442,21 @@ def sinkhorn(
     )
 
 
-def _scaled(kernel, marginals, config: SinkhornConfig, kv=None, done: int = 0):
+def _scaled(
+    kernel, marginals, config: SinkhornConfig, kv=None, done: int = 0,
+    clamped: bool = False,
+):
     """The 2-D scaling loop on one problem's kernel.
 
     Starts from all-ones scaling vectors, as a stack of one or two does,
     or resumes a solve ``done`` pairs in from its ``kv = K v``, as
     :func:`_solve_stack` hands over its last problems; either way it
-    stops at the pair where one uninterrupted solve stops. Returns that
-    pair's ``v``, its ``K v`` after and before the pair, its L1 marginal
-    error and the pairs done.
+    stops at the pair where one uninterrupted solve stops. A solve still
+    above ``tol`` after :data:`_NEWTON_AT` pairs takes :func:`_newton`
+    steps there, unless its kernel was ``clamped``, and then goes on with
+    scaling pairs; a solve resumed at that pair has had them already.
+    Returns the stopping pair's ``v``, its ``K v`` after and before the
+    pair, its L1 marginal error and the pairs done.
     """
     mu, nu = marginals.mu, marginals.nu
     tol, max_iter = config.tol, config.max_iter
@@ -333,12 +465,7 @@ def _scaled(kernel, marginals, config: SinkhornConfig, kv=None, done: int = 0):
         kv = dot(np.ones(kernel.shape[1]))
     rows = None
     while True:
-        # Single pairs until four are done, so fast solves allocate no
-        # buffers; then half the pairs done, so a solve overshoots its
-        # stop by at most half again. A single pair never passes max_iter.
-        steps = done // 2 or 1
-        if steps > 1:
-            steps = min(steps, _MAX_RUN, max_iter - done)
+        steps = _run_length(done, _MAX_RUN, max_iter)
         if steps == 1:
             u = mu / kv
             kt_u = dot_t(u)
@@ -368,6 +495,9 @@ def _scaled(kernel, marginals, config: SinkhornConfig, kv=None, done: int = 0):
             done += j + 1
         if err < tol or done == max_iter:
             return v, kv, kv_prev, err, done
+        if done == _NEWTON_AT and not clamped:
+            state = (x[None] for x in (kernel, v, kv, kv_prev, err))
+            kv = _newton(*state, marginals, tol)[0]
 
 
 def sinkhorn_stack(
@@ -404,14 +534,19 @@ def _solve_stack(cost, marginals: Marginals, config: SinkhornConfig):
     problem still active. Errors are checked once per run of pairs, and a
     problem's plan is built from the first pair under ``tol``, the pair
     where a check after every pair would stop it; problems that stopped
-    leave the active set at the end of the run. Once at most
+    leave the active set at the end of the run. A run ends at pair
+    :data:`_NEWTON_AT`, where the problems still active on unclamped
+    kernels take their Newton steps together (:func:`_newton`), and the
+    loop goes on from the ``K v`` they reach. Once at most
     :data:`_HANDOFF` problems are active, each finishes in the 2-D loop
     :func:`_scaled`, resumed from its ``K v`` and pair count (a stack of
     :data:`_HANDOFF` or fewer, such as :func:`sinkhorn`'s stack of one,
     runs there from the start): a stack's pair costs several times a 2-D
     pair, and at high sharpness the slowest problems, which often come in
-    twos such as one record's two cross-modal directions, run hundreds of
-    pairs after the rest have stopped. Each problem is rounded the same
+    twos such as one record's two cross-modal directions, run on after the
+    rest have stopped, for hundreds of pairs where their Newton steps are
+    refused. A problem handed over at the Newton pair has taken its steps
+    already. Each problem is rounded the same
     way as a lone one. The kernel is computed in one
     buffer, which rounding turns into the plans.
     """
@@ -436,12 +571,11 @@ def _solve_stack(cost, marginals: Marginals, config: SinkhornConfig):
     if count > _HANDOFF:
         kv_act = _matvec(kernel, np.ones((count, m)))
     done = 0
+    clamped = clamped.reshape(-1)
     while active.size > _HANDOFF:
         # Shorter runs than one problem's: a problem that stops inside a
         # run is still updated, with the rest of the stack, until it ends.
-        steps = done // 2 or 1
-        if steps > 1:
-            steps = min(steps, _MAX_RUN // 4, config.max_iter - done)
+        steps = _run_length(done, _MAX_RUN // 4, config.max_iter)
         vs, kvs, err = _pairs(k_act, k_act.swapaxes(-1, -2), kv_act, mu, nu, steps)
         err = err.reshape(steps, -1)
         below = err < config.tol
@@ -467,14 +601,27 @@ def _solve_stack(cost, marginals: Marginals, config: SinkhornConfig):
             iterations[finished] = done - steps + 1 + j
             keep = ~stop
             active, k_act, kv_act = active[keep], k_act[keep], kv_act[keep]
+        if done == _NEWTON_AT < config.max_iter:
+            # The problems still active take their Newton steps here, all
+            # at once, before any of them is handed to the 2-D loop.
+            last = vs[-1], kvs[-2], err[-1]
+            if stop.any():
+                last = tuple(x[keep] for x in last)
+            sharp = ~clamped[active]
+            if sharp.any():
+                v_last, kv_before, err_last = (x[sharp] for x in last)
+                kv_act[sharp] = _newton(
+                    k_act[sharp], v_last, kv_act[sharp], kv_before, err_last,
+                    marginals, config.tol,
+                )
     # The last active problems finish in the 2-D loop, resumed at this pair.
     for b, kv_b in zip(active, kv_act):
         v[b], kv[b], kv_prev[b], residual[b], iterations[b] = _scaled(
-            kernel[b], marginals, config, kv_b, done
+            kernel[b], marginals, config, kv_b, done, clamped[b]
         )
 
     plan = _rounded(kernel, v, kv, kv_prev, marginals)
-    converged = (residual < config.tol) & ~clamped.reshape(-1)
+    converged = (residual < config.tol) & ~clamped
     return (
         plan.reshape(shape),
         iterations.reshape(lead),

@@ -39,6 +39,7 @@ from otmel.objectives import (
     kd_pair_loss,
     toy_train,
 )
+from otmel.ot import Marginals, SinkhornConfig, sinkhorn_stack
 from otmel.types import EntityRecord, FeatureMatrix, MentionRecord
 
 from conftest import make_record
@@ -567,6 +568,27 @@ class TestCostGrad:
             alone = _cost_grad(block, d_plan[cut, cut], 5.0)
             np.testing.assert_allclose(got[cut, cut], alone, rtol=1e-12, atol=1e-15)
         assert not got[:2, 2:].any() and not got[2:, :2].any()
+
+    @pytest.mark.parametrize("sharpness", [0.6, 30.0, 1500.0])
+    def test_equals_bordered_system_written_out(self, rng, sharpness):
+        # The shared gauge-fixed system is the bordered matrix less its last
+        # row and column; the gradient through it is the one the matrix
+        # written out by blocks gives, bit for bit.
+        n, m = 5, 4
+        cost = rng.random((6, n, m))
+        plan = sinkhorn_stack(cost, Marginals.uniform(n, m), SinkhornConfig(sharpness)).data
+        d_plan = rng.standard_normal(plan.shape)
+        system = np.block([
+            [plan.sum(axis=-1)[..., None] * np.eye(n), plan],
+            [plan.swapaxes(-1, -2), plan.sum(axis=-2)[..., None] * np.eye(m)],
+        ])
+        gp = d_plan * plan
+        rhs = np.concatenate([gp.sum(axis=-1), gp.sum(axis=-2)], axis=-1)
+        inverse = np.linalg.pinv(system[..., :-1, :-1], hermitian=True)
+        dual = np.zeros(rhs.shape)
+        dual[..., :-1] = (inverse @ rhs[..., :-1, None])[..., 0]
+        expected = -sharpness * plan * (d_plan - dual[..., :n, None] - dual[..., None, n:])
+        assert _cost_grad(plan, d_plan, sharpness).tobytes() == expected.tobytes()
 
 
 class TestCosineGrads:

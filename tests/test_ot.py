@@ -1,3 +1,4 @@
+import functools
 import itertools
 from dataclasses import replace
 
@@ -8,8 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from otmel.config import RunConfig
-from otmel.correlation import cosine_cost
+from otmel.correlation import cosine_cost, identity_projections, interact_record
 from otmel.errors import ConfigError, DimensionError, NonFiniteError
+from otmel.fixtures import FixtureSpec, make_dataset
 from otmel import ot as ot_module
 from otmel.ot import (
     CostMatrix,
@@ -17,8 +19,11 @@ from otmel.ot import (
     SinkhornConfig,
     TransportPlan,
     _achieved,
+    _dual_system,
     _kernel,
+    _NEWTON_AT,
     _matvec,
+    _newton,
     _rounded,
     _scaled,
     _solve_stack,
@@ -49,8 +54,11 @@ def _reference_sinkhorn(cost, marginals, config):
     """Sinkhorn on one 2-D problem, checking the marginal error after every pair.
 
     The solver checks once per run of pairs instead; each problem must
-    still stop at this loop's iteration with this loop's plan. The kernel
-    and the rounding are the solver's own.
+    still stop at this loop's iteration with this loop's plan. A problem
+    still above tol after _NEWTON_AT pairs, short of the cap and on an
+    unclamped kernel, takes the Newton steps there and then goes on with
+    pairs. The kernel, the Newton steps and the rounding are the solver's
+    own.
     """
     kernel, clamped = _kernel(cost, marginals, config)
     mu, nu = marginals.mu, marginals.nu
@@ -63,6 +71,9 @@ def _reference_sinkhorn(cost, marginals, config):
         err = np.abs(u * kv - mu).sum() + np.abs(v * kt_u - nu).sum()
         if err < config.tol:
             break
+        if iterations == _NEWTON_AT < config.max_iter and not clamped:
+            state = (x[None] for x in (kernel, v, kv, kv_prev, err))
+            kv = _newton(*state, marginals, config.tol)[0]
     plan = _rounded(kernel, v, kv, kv_prev, marginals)
     return TransportPlan(
         data=plan,
@@ -213,8 +224,9 @@ class TestSinkhorn:
 
 
 # Pairs done when each run of the 2-D loop ends: single pairs up to 4,
-# then runs of half the pairs done, capped at 32.
-RUN_ENDS = (4, 6, 9, 13, 19, 28, 42, 63, 94, 126)
+# then runs of half the pairs done, capped at 32; a run ends at the Newton
+# pair, 32, and the count starts over there.
+RUN_ENDS = (4, 6, 9, 13, 19, 28, 32, 33, 34, 35, 36, 38, 41, 45, 51, 60, 74, 95, 126)
 
 
 class TestScalingLoop:
@@ -340,6 +352,7 @@ class TestSinkhornStack:
         marg = Marginals.uniform(6, 5)
         # Caps that end inside a run of pairs too: the stack is compacted
         # only at run ends, so most problems stop in the middle of one.
+        stops = set()
         for max_iter in (5, 13, 37, 100):
             config = SinkhornConfig(sharpness=30.0, max_iter=max_iter)
             stack = sinkhorn_stack(cost, marg, config)
@@ -347,10 +360,15 @@ class TestSinkhornStack:
                 reference = _reference_sinkhorn(cost[b], marg, config)
                 assert_same_plan(stack_member(stack, b), reference)
                 assert_same_plan(sinkhorn(cost[b], marg, config), reference)
+            stops.update(stack.iterations_used.tolist())
+        assert len(stops) > 10
+        # At the cap of 100, problems stop before the Newton pair, at the
+        # pair after it, later where a Newton step was refused, and at the cap.
         iterations = stack.iterations_used
-        assert len(np.unique(iterations)) > 10
+        assert (iterations < _NEWTON_AT).any()
+        assert (iterations == _NEWTON_AT + 1).any()
+        assert ((iterations > _NEWTON_AT + 1) & (iterations < config.max_iter)).any()
         assert (iterations == config.max_iter).any()
-        assert (iterations < config.max_iter).any()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=80, deadline=None)
@@ -511,6 +529,38 @@ class TestRounding:
         assert achieved.tobytes() == oracle_achieved.tobytes()
 
 
+def paused_kv(kernel, marginals, config, pause):
+    """The ``K v`` from which a lone solve paused after ``pause`` pairs resumes.
+
+    A solve paused at the Newton pair resumes after its Newton steps, as a
+    stack hands its problems over there.
+    """
+    v, kv, kv_prev, err, done = _scaled(kernel, marginals, replace(config, max_iter=pause))
+    assert done == pause and not err < config.tol
+    if pause == _NEWTON_AT:
+        state = (x[None] for x in (kernel, v, kv, kv_prev, err))
+        kv = _newton(*state, marginals, config.tol)[0]
+    return kv
+
+
+@functools.lru_cache(maxsize=1)
+def newton_pool():
+    """300 problems at sharpness 30 that stop before, at and after the Newton pair.
+
+    Returns the costs, marginals, solver settings and each problem's pairs.
+    Scaled random costs stop from pair 18 on; most problems stop at pair 33
+    and some, whose first Newton step is refused, after 90 pairs or more.
+    """
+    rng = np.random.default_rng(0)
+    pool = rng.random((300, 6, 5)) * np.linspace(0.3, 1.0, 300)[:, None, None]
+    marg, config = Marginals.uniform(6, 5), SinkhornConfig(sharpness=30.0)
+    iterations = sinkhorn_stack(pool, marg, config).iterations_used
+    # Every caller gets these arrays; none may change them.
+    for x in (pool, iterations):
+        x.setflags(write=False)
+    return pool, marg, config, iterations
+
+
 class TestHandOff:
     # A stack hands its last active problems to the 2-D loop, resumed from
     # their K v and pair count; every problem must still equal its lone
@@ -550,9 +600,9 @@ class TestHandOff:
     def test_last_two_problems_resume_in_the_2d_loop(self, monkeypatch):
         resumed_at = []
 
-        def spy(kernel, marginals, config, kv=None, done=0):
+        def spy(kernel, marginals, config, kv=None, done=0, clamped=False):
             resumed_at.append(done)
-            return _scaled(kernel, marginals, config, kv, done)
+            return _scaled(kernel, marginals, config, kv, done, clamped)
 
         monkeypatch.setattr(ot_module, "_scaled", spy)
         rng = np.random.default_rng(0)
@@ -591,11 +641,179 @@ class TestHandOff:
         whole = _scaled(kernel, marg, config)
         assume(whole[4] > 1)
         pause = 1 + int(where * (whole[4] - 1))
-        v, kv, kv_prev, err, done = _scaled(kernel, marg, replace(config, max_iter=pause))
-        assert done == pause and not err < config.tol
-        resumed = _scaled(kernel, marg, config, kv, pause)
+        resumed = _scaled(kernel, marg, config, paused_kv(kernel, marg, config, pause), pause)
         for got, expected in zip(resumed, whole):
             assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+    @pytest.mark.parametrize(
+        "kind, pause",
+        [("newton", 31), ("newton", 32), ("refused", 31), ("refused", 32), ("refused", 33)],
+    )
+    def test_2d_loop_resumes_around_the_newton_pair(self, kind, pause):
+        # A problem that its Newton steps finish at the pair after them, and
+        # one whose first step is refused, so that it scales on for dozens of
+        # pairs; each paused just before, at and after the Newton pair.
+        pool, marg, config, iterations = newton_pool()
+        target = iterations == _NEWTON_AT + 1 if kind == "newton" else iterations > 60
+        kernel, _ = _kernel(pool[np.flatnonzero(target)[0]], marg, config)
+        whole = _scaled(kernel, marg, config)
+        resumed = _scaled(kernel, marg, config, paused_kv(kernel, marg, config, pause), pause)
+        for got, expected in zip(resumed, whole):
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+    @pytest.mark.parametrize("third, handed_at", [(25, 27), (30, 32), (None, 33)])
+    def test_stack_hands_off_around_the_newton_pair(self, monkeypatch, third, handed_at):
+        # Two problems that Newton steps finish at pair 33 and a third that
+        # stops at pair 25 (hand-off at the run end 27, before the Newton
+        # pair), at pair 30 (hand-off at the Newton pair, after the stack's
+        # Newton steps), or runs on after a refused step (hand-off at 33).
+        resumed_at = []
+
+        def spy(kernel, marginals, config, kv=None, done=0, clamped=False):
+            resumed_at.append(done)
+            return _scaled(kernel, marginals, config, kv, done, clamped)
+
+        monkeypatch.setattr(ot_module, "_scaled", spy)
+        pool, marg, config, iterations = newton_pool()
+        finished = np.flatnonzero(iterations == _NEWTON_AT + 1)[:2]
+        last = iterations > 60 if third is None else iterations == third
+        cost = pool[[*finished, np.flatnonzero(last)[0]]]
+        stack = sinkhorn_stack(cost, marg, config)
+        assert resumed_at == [handed_at] * (1 if third is None else 2)
+        for b in range(len(cost)):
+            assert_same_plan(
+                stack_member(stack, b), _reference_sinkhorn(cost[b], marg, config)
+            )
+
+
+def plain_scaling(kernel, marginals, tol, max_iter):
+    """Scaled plans of a kernel stack by plain alternating scaling, to ``tol``.
+
+    Checks each problem's row error after every pair and keeps its first
+    plan under ``tol``; also returns which problems got there.
+    """
+    mu, nu = marginals.mu, marginals.nu
+    v = np.ones(kernel.shape[:-2] + kernel.shape[-1:])
+    plans, done = np.zeros_like(kernel), np.zeros(len(kernel), bool)
+    for _ in range(max_iter):
+        u = mu / (kernel @ v[..., None])[..., 0]
+        v = nu / (kernel.swapaxes(-1, -2) @ u[..., None])[..., 0]
+        err = np.abs(u * (kernel @ v[..., None])[..., 0] - mu).sum(-1)
+        new = (err < tol) & ~done
+        plans[new] = u[new, :, None] * kernel[new] * v[new, None, :]
+        done |= new
+        if done.all():
+            break
+    return plans, done
+
+
+class TestNewtonSteps:
+    def test_singular_systems_stay_with_their_problem(self):
+        # Random problems at the Newton pair, which their steps finish; the
+        # split-support plan of TestCostGrad, whose system is exactly
+        # singular, so that one batched solve raises for the whole stack;
+        # the same blocks joined by 1e-200, whose nearly singular system
+        # gives steps far off without raising; and a kernel clamped at
+        # sharpness 1500. Each problem gets its lone result.
+        rng = np.random.default_rng(0)
+        marg = Marginals.uniform(4, 4)
+        config = SinkhornConfig(sharpness=30.0, max_iter=_NEWTON_AT)
+        kernels = list(_kernel(rng.random((4, 4, 4)), marg, config)[0])
+        states = [_scaled(k, marg, config)[:3] for k in kernels]
+        split = np.zeros((4, 4))
+        split[:2, :2] = split[2:, 2:] = 0.125
+        joined = np.where(split > 0, split, 1e-200)
+        clamped_cost = np.repeat([[0.9], [0.9], [0.1], [0.1]], 4, axis=1)
+        clamped_kernel, clamped = _kernel(clamped_cost, marg, SinkhornConfig(1500.0))
+        assert clamped
+        for k in (split, joined, clamped_kernel):
+            # One pair balances these; rows 2 and 3 then get half their mass.
+            v, kv, _, _, _ = _scaled(k, marg, SinkhornConfig(max_iter=1))
+            states.append((v, kv, kv * [1.0, 1.0, 2.0, 2.0]))
+            kernels.append(k)
+        errors = []
+        for k, (v, kv, kv_prev) in zip(kernels, states):
+            u = marg.mu / kv_prev
+            errors.append(np.abs(u * kv - marg.mu).sum() + np.abs(v * (k.T @ u) - marg.nu).sum())
+            if k is split:
+                system = _dual_system(u[:, None] * k * v, u * kv, v * (k.T @ u))
+                with pytest.raises(np.linalg.LinAlgError):
+                    np.linalg.solve(system, np.ones(7))
+        assert min(errors) >= config.tol
+        stack = [np.array(x) for x in (kernels, *zip(*states), errors)]
+        got = _newton(*stack, marg, config.tol)
+        for b in range(len(kernels)):
+            alone = _newton(*(x[b : b + 1] for x in stack), marg, config.tol)[0]
+            assert got[b].tobytes() == alone.tobytes()
+        # The random problems keep their steps; the split plan's is refused.
+        assert all((got[b] != stack[2][b]).any() for b in range(4))
+        assert got[4].tobytes() == stack[2][4].tobytes()
+
+    def test_refused_steps_leave_the_scaling_as_it_was(self):
+        # The pool's problems that run on long after the Newton pair do so
+        # because their first step would raise the marginal error; scaling
+        # pairs then resume from the last pair's own K v.
+        pool, marg, config, iterations = newton_pool()
+        for b in np.flatnonzero(iterations > 60):
+            kernel, _ = _kernel(pool[b], marg, config)
+            v, kv, kv_prev, err, _ = _scaled(kernel, marg, replace(config, max_iter=_NEWTON_AT))
+            state = (x[None] for x in (kernel, v, kv, kv_prev, err))
+            assert _newton(*state, marg, config.tol)[0].tobytes() == kv.tobytes()
+
+    def test_clamped_kernels_take_no_steps(self):
+        # Small costs give ordinary sharp problems at sharpness 700, which
+        # Newton steps finish by pair 33; one entry of cost 1 clamps its
+        # kernel entry, and that problem scales on without them, in the
+        # stack loop and in the 2-D loop alike.
+        rng = np.random.default_rng(0)
+        cost = 0.02 * rng.random((6, 4, 4))
+        far = cost.copy()
+        far[:, 0, 3] = 1.0
+        cost = np.concatenate([cost, far])
+        marg, config = Marginals.uniform(4, 4), SinkhornConfig(sharpness=700.0)
+        stack = sinkhorn_stack(cost, marg, config)
+        assert (stack.iterations_used[:6] <= _NEWTON_AT + 1).all()
+        assert (stack.iterations_used[6:] > _NEWTON_AT + 1).sum() >= 5
+        assert not stack.converged[6:].any()
+        for b in range(len(cost)):
+            reference = _reference_sinkhorn(cost[b], marg, config)
+            assert_same_plan(stack_member(stack, b), reference)
+            assert_same_plan(sinkhorn(cost[b], marg, config), reference)
+
+    def test_newton_finished_plans_match_plain_scaling_to_1e_12(self):
+        # Plain scaling at tol 1e-12 gives the plans to compare against. The
+        # solver's plans that stop at the pair after the Newton steps, at the
+        # default tol 1e-6, lie within 1.4e-6 in L1 of them (worst of 384
+        # problems, 16 per sharpness over 8 seeds; 6.6e-7 at sharpness 30 and
+        # 50), about as far as the tolerance lets any plan lie.
+        rng = np.random.default_rng(0)
+        marg = Marginals.uniform(12, 12)
+        for sharpness in (30.0, 50.0, 100.0):
+            cost = cosine_cost(rng.standard_normal((16, 12, 16)), rng.standard_normal((16, 12, 16)))
+            config = SinkhornConfig(sharpness=sharpness)
+            solved = sinkhorn_stack(cost, marg, config)
+            precise, reached = plain_scaling(np.exp(-sharpness * cost.data), marg, 1e-12, 20000)
+            finished = (solved.iterations_used == _NEWTON_AT + 1) & reached
+            assert finished.sum() >= 4, sharpness
+            distance = np.abs(solved.data - precise).sum(axis=(-2, -1))[finished]
+            assert distance.max() <= 2e-6, sharpness
+
+    def test_every_sharp_cross_modal_solve_converges(self):
+        # Ranking's cross-modal problems at sharpness 30 on a noisy fixture of
+        # the link shape: plain scaling left 5 of these 56 solves at max_iter
+        # with residuals above tol.
+        spec = FixtureSpec(
+            seed=0, d=64, n_entities=4, n_mentions=24, text_len=12, visual_len=12,
+            noise_sigma=1.0, latent_scale=0.45, slot_scale=1.2,
+        )
+        dataset, _ = make_dataset(spec)
+        table = identity_projections(64)
+        config = SinkhornConfig(sharpness=30.0)
+        for record in (*dataset.mentions, *dataset.entities):
+            inter = interact_record(record, table, "ot", config)
+            for plan in (inter.v2t.plan, inter.t2v.plan):
+                assert plan.converged, (record.id, plan.residual)
+                assert plan.iterations_used <= _NEWTON_AT + 1
 
 
 class TestExactOracle:
