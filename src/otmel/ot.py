@@ -30,12 +30,13 @@ takes its products through ``ndarray.dot``, the same gemv as ``matmul``,
 so a pair costs four numpy calls.
 
 Sharp plans converge slowly under plain scaling. A problem still above
-``tol`` after :data:`_NEWTON_AT` pairs, on an unclamped kernel, takes a
-few Newton steps on its dual there (Brauer, Clason, Lorenz & Wirth 2017,
-"A Sinkhorn–Newton method for entropic optimal transport"), one batched
-linear solve per step over the problems that take it, and then goes on
-with scaling pairs, so every returned iterate is a scaling pair's and
-``iterations_used`` counts pairs only. A solve that stops by that pair
+``tol`` after :data:`_NEWTON_AT` pairs, on an unclamped kernel and with
+no zero entry in its marginals, takes a few Newton steps on its dual
+there (Brauer, Clason, Lorenz & Wirth 2017, "A Sinkhorn–Newton method
+for entropic optimal transport"), one batched linear solve per step over
+the problems that take it, and then goes on with scaling pairs, so every
+returned iterate is a scaling pair's and ``iterations_used`` counts
+pairs only. A solve that stops by that pair
 never takes a step, and its plan is the plain scaling's.
 """
 
@@ -322,8 +323,13 @@ def _newton(kernel, v, kv, kv_prev, err, marginals: Marginals, tol: float):
     are taken. Returns each problem's ``K v`` for the scaling pairs that
     resume from it: the given ``kv``, bit for bit, where no step was kept.
     Each problem's result is the same whatever else shares the stack.
+    Marginals with a zero entry give scalings with a zero entry, whose
+    systems are singular and whose steps the positivity check refuses, so
+    then no step is tried.
     """
     mu, nu = marginals.mu, marginals.nu
+    if not ((mu > 0).all() and (nu > 0).all()):
+        return kv
     n = kernel.shape[-2]
     u, v, kv, err = mu / kv_prev, v.copy(), kv.copy(), err.copy()
     kt_u = _matvec(kernel.swapaxes(-1, -2), u)
@@ -443,8 +449,7 @@ def sinkhorn(
 
 
 def _scaled(
-    kernel, marginals, config: SinkhornConfig, kv=None, done: int = 0,
-    clamped: bool = False,
+    kernel, clamped: bool, marginals, config: SinkhornConfig, kv=None, done: int = 0
 ):
     """The 2-D scaling loop on one problem's kernel.
 
@@ -617,7 +622,7 @@ def _solve_stack(cost, marginals: Marginals, config: SinkhornConfig):
     # The last active problems finish in the 2-D loop, resumed at this pair.
     for b, kv_b in zip(active, kv_act):
         v[b], kv[b], kv_prev[b], residual[b], iterations[b] = _scaled(
-            kernel[b], marginals, config, kv_b, done, clamped[b]
+            kernel[b], clamped[b], marginals, config, kv_b, done
         )
 
     plan = _rounded(kernel, v, kv, kv_prev, marginals)
