@@ -16,6 +16,8 @@ their on-disk round trip bit for bit.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -52,6 +54,18 @@ class FixtureSpec:
     correspondence: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self):
+        # A spec read from JSON may hold 4.5 where a count belongs, or NaN
+        # (which json.loads accepts) where a scale does.
+        for name in ("seed", "d", "n_entities", "n_mentions", "text_len", "visual_len"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("noise_sigma", "latent_scale", "slot_scale"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.d < 2:
             raise ConfigError(f"d must be >= 2, got {self.d}")
         if self.n_entities < 1 or self.n_mentions < 1:

@@ -12,22 +12,19 @@ diagnostics (cost, entropy).
 Costs and plans may carry leading stack axes: a ``(..., n, m)`` cost is
 a stack of independent ``n x m`` problems. One solve, :func:`_solve_stack`,
 returns the bare plans and the scaling's diagnostics, for callers that
-read nothing else; its stack loop hands the last two problems to the
-one-problem loop. :func:`sinkhorn_stack` wraps it for a stack, and
+read nothing else. :func:`sinkhorn_stack` wraps it for a stack, and
 :func:`sinkhorn` for one problem, as a stack of one, so each problem of
 a stack gives the same result, bit for bit, as :func:`sinkhorn` on it
 alone. Kernel and plans share one buffer: the kernel is exponentiated
 and clamped in place, and rounding scales it into the plans.
 
-Both loops check the marginal error once per run of scaling pairs, not
-after every pair: a run keeps its iterates and computes all their errors
-in one array pass. Runs are single pairs for the first few iterations and
-then grow with the iterations done, up to a short cap. Each problem still
-stops at the first pair whose error is under ``tol``, with that pair's
-iterates; the pairs after it in its run are discarded. The one-problem
-loop writes its longer runs into buffers allocated once per solve, and
-takes its products through ``ndarray.dot``, the same gemv as ``matmul``,
-so a pair costs four numpy calls.
+One scaling loop, :func:`_scaling`, runs every solve. It checks the
+marginal error once per run of scaling pairs, not after every pair: a
+run keeps its iterates and computes all their errors in one array pass.
+Runs are single pairs for the first few iterations and then grow with
+the iterations done, up to a short cap. Each problem still stops at the
+first pair whose error is under ``tol``, with that pair's iterates; the
+pairs after it in its run are discarded.
 
 Sharp plans converge slowly under plain scaling. A problem still above
 ``tol`` after :data:`_NEWTON_AT` pairs, on an unclamped kernel and with
@@ -56,12 +53,8 @@ from .types import freeze_array
 # unconverged.
 KERNEL_FLOOR = 1e-300
 
-# Longest run of scaling pairs between two checks of the marginal error
-# in a one-problem solve; a stack's runs are a quarter as long.
-_MAX_RUN = 32
-
-# Active problems few enough that a stack hands each to the 2-D loop.
-_HANDOFF = 2
+# Longest run of scaling pairs between two checks of the marginal error.
+_MAX_RUN = 8
 
 # The pair after which a problem still above tol takes Newton steps on its
 # dual, and the most steps it takes there.
@@ -156,12 +149,14 @@ class TransportPlan:
 class SinkhornConfig:
     """Solver knobs.
 
-    sharpness: kernel concentration; the kernel is exp(-sharpness * cost),
-        so larger values produce sharper (lower-entropy) plans.
+    sharpness: kernel concentration, positive and finite; the kernel is
+        exp(-sharpness * cost), so larger values produce sharper
+        (lower-entropy) plans.
     tol: convergence threshold on the combined L1 marginal error of the
         scaled plan, before rounding.
-    max_iter: cap on full row/column update pairs; hitting it is not an
-        error, the best available plan is returned flagged unconverged.
+    max_iter: integer cap on full row/column update pairs; hitting it is
+        not an error, the best available plan is returned flagged
+        unconverged.
 
     The kernel's lower clamp is not a knob: it is the module constant
     :data:`KERNEL_FLOOR`.
@@ -172,10 +167,17 @@ class SinkhornConfig:
     max_iter: int = 1000
 
     def __post_init__(self):
-        if not self.sharpness > 0:
-            raise ConfigError(f"sharpness must be positive, got {self.sharpness}")
+        if not 0 < self.sharpness < np.inf:
+            raise ConfigError(
+                f"sharpness must be positive and finite, got {self.sharpness}"
+            )
         if not self.tol > 0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
+        # The loop counts pairs up to max_iter exactly: 7.0 or True is no count.
+        if isinstance(self.max_iter, bool) or not isinstance(
+            self.max_iter, (int, np.integer)
+        ):
+            raise ConfigError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
 
@@ -253,20 +255,21 @@ def _pairs(kernel, kernel_t, kv, mu, nu, steps: int):
     return vs, kvs, err
 
 
-def _run_length(done: int, longest: int, max_iter: int) -> int:
+def _run_length(done: int, max_iter: int) -> int:
     """Scaling pairs in the next run of a solve ``done`` pairs in.
 
-    Single pairs until four are done, so fast solves allocate no buffers;
-    then half the pairs done, up to ``longest``, so a solve overshoots its
-    stop by at most half again. The count starts over at the Newton pair,
-    since most problems stop at the pair after their Newton steps. A run
-    ends at the Newton pair and never passes ``max_iter``.
+    Single pairs until four are done, so fast solves stack no iterates;
+    then half the pairs done, up to :data:`_MAX_RUN`, so a solve
+    overshoots its stop by at most half again. The count starts over at
+    the Newton pair, since most problems stop at the pair after their
+    Newton steps. A run ends at the Newton pair and never passes
+    ``max_iter``.
     """
     fresh = done - _NEWTON_AT if done >= _NEWTON_AT else done
     steps = fresh // 2 or 1
     if steps > 1:
         end = min(_NEWTON_AT, max_iter) if done < _NEWTON_AT else max_iter
-        steps = min(steps, longest, end - done)
+        steps = min(steps, _MAX_RUN, end - done)
     return steps
 
 
@@ -429,8 +432,8 @@ def sinkhorn(
     (:func:`_newton`) and then goes on with pairs, so most sharp solves
     stop one pair later. Deterministic for fixed inputs; never
     raises on slow convergence. Solves one 2-D problem, as the stack solve
-    on a stack of one, which runs it in the 2-D loop :func:`_scaled`; its
-    diagnostics are Python scalars. See :func:`sinkhorn_stack` for many.
+    on a stack of one; its diagnostics are Python scalars. See
+    :func:`sinkhorn_stack` for many.
     """
     shape = np.shape(cost.data if isinstance(cost, CostMatrix) else cost)
     if len(shape) > 2:
@@ -446,63 +449,6 @@ def sinkhorn(
         converged=bool(converged),
         residual=float(residual),
     )
-
-
-def _scaled(
-    kernel, clamped: bool, marginals, config: SinkhornConfig, kv=None, done: int = 0
-):
-    """The 2-D scaling loop on one problem's kernel.
-
-    Starts from all-ones scaling vectors, as a stack of one or two does,
-    or resumes a solve ``done`` pairs in from its ``kv = K v``, as
-    :func:`_solve_stack` hands over its last problems; either way it
-    stops at the pair where one uninterrupted solve stops. A solve still
-    above ``tol`` after :data:`_NEWTON_AT` pairs takes :func:`_newton`
-    steps there, unless its kernel was ``clamped``, and then goes on with
-    scaling pairs; a solve resumed at that pair has had them already.
-    Returns the stopping pair's ``v``, its ``K v`` after and before the
-    pair, its L1 marginal error and the pairs done.
-    """
-    mu, nu = marginals.mu, marginals.nu
-    tol, max_iter = config.tol, config.max_iter
-    dot, dot_t = kernel.dot, kernel.T.dot
-    if kv is None:
-        kv = dot(np.ones(kernel.shape[1]))
-    rows = None
-    while True:
-        steps = _run_length(done, _MAX_RUN, max_iter)
-        if steps == 1:
-            u = mu / kv
-            kt_u = dot_t(u)
-            v = nu / kt_u
-            kv_prev, kv = kv, dot(v)
-            err = np.abs(u * kv - mu).sum() + np.abs(v * kt_u - nu).sum()
-            done += 1
-        else:
-            if rows is None:
-                cap = min(_MAX_RUN, max_iter)
-                n, m = kernel.shape
-                us, kvs = np.empty((cap, n)), np.empty((cap + 1, n))
-                kt_us, vs = np.empty((cap, m)), np.empty((cap, m))
-                rows = list(zip(us, kt_us, vs, kvs, kvs[1:]))
-            kvs[0] = kv
-            for u, kt_u, v, kv_in, kv_out in rows[:steps]:
-                np.divide(mu, kv_in, out=u)
-                dot_t(u, out=kt_u)
-                np.divide(nu, kt_u, out=v)
-                dot(v, out=kv_out)
-            errs = np.abs(us[:steps] * kvs[1 : steps + 1] - mu).sum(-1)
-            errs += np.abs(vs[:steps] * kt_us[:steps] - nu).sum(-1)
-            # The first pair under tol stops the solve; later ones are dropped.
-            below = np.flatnonzero(errs < tol)
-            j = int(below[0]) if below.size else steps - 1
-            err, v, kv, kv_prev = errs[j], vs[j], kvs[j + 1], kvs[j]
-            done += j + 1
-        if err < tol or done == max_iter:
-            return v, kv, kv_prev, err, done
-        if done == _NEWTON_AT and not clamped:
-            state = (x[None] for x in (kernel, v, kv, kv_prev, err))
-            kv = _newton(*state, marginals, tol)[0]
 
 
 def sinkhorn_stack(
@@ -535,34 +481,44 @@ def _solve_stack(cost, marginals: Marginals, config: SinkhornConfig):
     Returns the ``(..., n, m)`` plan stack and, over the leading axes, each
     problem's ``iterations_used``, ``residual`` and ``converged``: what
     ranking needs, without the plan sums of ``achieved_marginal_error`` or
-    a :class:`TransportPlan`. One alternating-scaling loop updates every
-    problem still active. Errors are checked once per run of pairs, and a
-    problem's plan is built from the first pair under ``tol``, the pair
-    where a check after every pair would stop it; problems that stopped
-    leave the active set at the end of the run. A run ends at pair
-    :data:`_NEWTON_AT`, where the problems still active on unclamped
-    kernels take their Newton steps together (:func:`_newton`), and the
-    loop goes on from the ``K v`` they reach. Once at most
-    :data:`_HANDOFF` problems are active, each finishes in the 2-D loop
-    :func:`_scaled`, resumed from its ``K v`` and pair count (a stack of
-    :data:`_HANDOFF` or fewer, such as :func:`sinkhorn`'s stack of one,
-    runs there from the start): a stack's pair costs several times a 2-D
-    pair, and at high sharpness the slowest problems, which often come in
-    twos such as one record's two cross-modal directions, run on after the
-    rest have stopped, for hundreds of pairs where their Newton steps are
-    refused. A problem handed over at the Newton pair has taken its steps
-    already. Each problem is rounded the same
-    way as a lone one. The kernel is computed in one
-    buffer, which rounding turns into the plans.
+    a :class:`TransportPlan`. The kernel is computed in one buffer
+    (:func:`_kernel`), scaled by :func:`_scaling`, and rounded into the
+    plans in that buffer (:func:`_rounded`).
     """
     kernel, clamped = _kernel(cost, marginals, config)
     shape = kernel.shape
-    n, m = shape[-2:]
     lead = shape[:-2]
-    kernel = kernel.reshape(-1, n, m)
-    mu, nu = marginals.mu, marginals.nu
-    count = kernel.shape[0]
+    kernel = kernel.reshape((-1,) + shape[-2:])
+    clamped = clamped.reshape(-1)
+    v, kv, kv_prev, residual, iterations = _scaling(kernel, clamped, marginals, config)
+    plan = _rounded(kernel, v, kv, kv_prev, marginals)
+    converged = (residual < config.tol) & ~clamped
+    return (
+        plan.reshape(shape),
+        iterations.reshape(lead),
+        residual.reshape(lead),
+        converged.reshape(lead),
+    )
 
+
+def _scaling(kernel, clamped, marginals: Marginals, config: SinkhornConfig):
+    """The alternating-scaling loop on a ``(B, n, m)`` stack of kernels.
+
+    Starts every problem from all-ones scaling vectors and updates every
+    problem still active. Errors are checked once per run of pairs, and a
+    problem stops at the first pair under ``tol``, the pair where a check
+    after every pair would stop it, or at ``max_iter``; problems that
+    stopped leave the active set at the end of the run. A run ends at
+    pair :data:`_NEWTON_AT`, where the problems still active whose kernels
+    were not ``clamped`` take their Newton steps together
+    (:func:`_newton`), and the loop goes on from the ``K v`` they reach.
+    Returns, per problem, the stopping pair's ``v``, its ``K v`` after and
+    before that pair, its L1 marginal error and the pairs done: the state
+    that :func:`_rounded` takes. Each problem's result is the same whatever
+    else shares the stack.
+    """
+    mu, nu = marginals.mu, marginals.nu
+    count, n, m = kernel.shape
     v = np.empty((count, m))
     kv = np.empty((count, n))
     kv_prev = np.empty((count, n))
@@ -571,16 +527,12 @@ def _solve_stack(cost, marginals: Marginals, config: SinkhornConfig):
     # Rows of the active problems, compacted at the end of each run in
     # which some of them stop.
     active = np.arange(count)
-    # A stack of _HANDOFF problems or fewer goes straight to the 2-D loop.
-    k_act, kv_act = kernel, [None] * count
-    if count > _HANDOFF:
-        kv_act = _matvec(kernel, np.ones((count, m)))
+    k_act, kv_act = kernel, _matvec(kernel, np.ones((count, m)))
     done = 0
-    clamped = clamped.reshape(-1)
-    while active.size > _HANDOFF:
-        # Shorter runs than one problem's: a problem that stops inside a
-        # run is still updated, with the rest of the stack, until it ends.
-        steps = _run_length(done, _MAX_RUN // 4, config.max_iter)
+    while active.size:
+        # A problem that stops inside a run is still updated, with the
+        # rest of the stack, until the run ends.
+        steps = _run_length(done, config.max_iter)
         vs, kvs, err = _pairs(k_act, k_act.swapaxes(-1, -2), kv_act, mu, nu, steps)
         err = err.reshape(steps, -1)
         below = err < config.tol
@@ -608,7 +560,7 @@ def _solve_stack(cost, marginals: Marginals, config: SinkhornConfig):
             active, k_act, kv_act = active[keep], k_act[keep], kv_act[keep]
         if done == _NEWTON_AT < config.max_iter:
             # The problems still active take their Newton steps here, all
-            # at once, before any of them is handed to the 2-D loop.
+            # at once.
             last = vs[-1], kvs[-2], err[-1]
             if stop.any():
                 last = tuple(x[keep] for x in last)
@@ -619,20 +571,7 @@ def _solve_stack(cost, marginals: Marginals, config: SinkhornConfig):
                     k_act[sharp], v_last, kv_act[sharp], kv_before, err_last,
                     marginals, config.tol,
                 )
-    # The last active problems finish in the 2-D loop, resumed at this pair.
-    for b, kv_b in zip(active, kv_act):
-        v[b], kv[b], kv_prev[b], residual[b], iterations[b] = _scaled(
-            kernel[b], clamped[b], marginals, config, kv_b, done
-        )
-
-    plan = _rounded(kernel, v, kv, kv_prev, marginals)
-    converged = (residual < config.tol) & ~clamped
-    return (
-        plan.reshape(shape),
-        iterations.reshape(lead),
-        residual.reshape(lead),
-        converged.reshape(lead),
-    )
+    return v, kv, kv_prev, residual, iterations
 
 
 _MAX_EXACT_SIZE = 8

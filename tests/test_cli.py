@@ -61,6 +61,11 @@ class TestSolve:
         code, _, err = run(capsys, "solve", cost_csv, "--mu", "0.9,0.9,0.9")
         assert code == 4
 
+    def test_infinite_sharpness_exit_4(self, capsys, cost_csv):
+        code, out, _ = run(capsys, "solve", cost_csv, "--lambda", "inf")
+        assert code == 4
+        assert out == ""
+
     def test_marginal_dimension_exit_3(self, capsys, cost_csv):
         code, _, _ = run(capsys, "solve", cost_csv, "--mu", "0.5,0.5")
         assert code == 3
@@ -192,6 +197,15 @@ class TestLink:
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"pool": "median"}))
         code, _, _ = run(capsys, "link", fixture_manifest, "--config", str(cfg))
+        assert code == 4
+
+    def test_non_integer_max_iter_exit_4(self, capsys, fixture_manifest, tmp_path):
+        # A float cap never equals the loop's count of pairs.
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"max_iter": 7.0}))
+        code, _, _ = run(
+            capsys, "link", fixture_manifest, "--config", str(cfg), "--lambda", "30"
+        )
         assert code == 4
 
     def test_config_naming_threads_is_an_unknown_field(
@@ -349,6 +363,18 @@ class TestGenFixtures:
         spec_path.write_text(json.dumps({"d": 10}))
         code, _, _ = run(capsys, "gen-fixtures", str(spec_path), str(tmp_path / "out"))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "text", ['{"seed": 1, "d": 4.5}', '{"seed": 1, "latent_scale": NaN}']
+    )
+    def test_invalid_spec_value_exit_4_before_writing(self, capsys, tmp_path, text):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(text)
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "gen-fixtures", str(spec_path), str(out))
+        assert code == 4
+        assert "error:" in err
+        assert not out.exists()
 
 
 class TestTrainToy:

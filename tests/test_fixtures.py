@@ -32,6 +32,20 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             FixtureSpec(seed=0, noise_sigma=-1.0)
 
+    @pytest.mark.parametrize(
+        "field",
+        [{"d": 4.5}, {"n_entities": 2.0}, {"text_len": True}, {"seed": 1.5},
+         {"seed": -1}, {"latent_scale": float("nan")}, {"slot_scale": float("inf")},
+         {"noise_sigma": float("nan")}],
+    )
+    def test_rejects_non_integer_counts_and_non_finite_scales(self, field):
+        with pytest.raises(ConfigError):
+            FixtureSpec(**{"seed": 0, **field})
+
+    def test_numpy_integers_accepted(self):
+        spec = FixtureSpec(seed=np.int64(3), d=np.int32(10), n_entities=2)
+        assert make_dataset(spec)[0].d == 10
+
     def test_correspondence_bounds_checked(self):
         with pytest.raises(ConfigError):
             FixtureSpec(seed=0, correspondence=((0, 1),))

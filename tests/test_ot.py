@@ -25,7 +25,7 @@ from otmel.ot import (
     _matvec,
     _newton,
     _rounded,
-    _scaled,
+    _scaling,
     _solve_stack,
     exact_ot_uniform_square,
     plan_entropy,
@@ -223,10 +223,10 @@ class TestSinkhorn:
         assert stack.converged.tolist() == [False, True]
 
 
-# Pairs done when each run of the 2-D loop ends: single pairs up to 4,
-# then runs of half the pairs done, capped at 32; a run ends at the Newton
+# Pairs done when each run of the scaling loop ends: single pairs up to 4,
+# then runs of half the pairs done, capped at 8; a run ends at the Newton
 # pair, 32, and the count starts over there.
-RUN_ENDS = (4, 6, 9, 13, 19, 28, 32, 33, 34, 35, 36, 38, 41, 45, 51, 60, 74, 95, 126)
+RUN_ENDS = (4, 6, 9, 13, 19, 27, 32, 33, 34, 35, 36, 38, 41, 45, 51, 59, 67, 75)
 
 
 class TestScalingLoop:
@@ -244,11 +244,10 @@ class TestScalingLoop:
     def test_matches_per_pair_reference_at_ranking_shapes(
         self, seed, sharpness, n, m, d, max_iter
     ):
-        # The lone-problem loop writes its runs into buffers through
-        # ndarray.dot; every pair must equal the reference's matmul pair,
-        # whether the cap ends a first buffered run, falls inside one or
-        # ends exactly at one. BLAS gemv blocks rows by 4 and 8, so the
-        # shapes reach past 8.
+        # A lone problem runs in the stack loop as a stack of one; every
+        # pair must equal the reference's 2-D matmul pair, whether the cap
+        # ends a first stacked run, falls inside one or ends exactly at one.
+        # BLAS gemv blocks rows by 4 and 8, so the shapes reach past 8.
         rng = np.random.default_rng(seed)
         cost = cosine_cost(rng.standard_normal((n, d)), rng.standard_normal((m, d)))
         marg = Marginals.uniform(n, m)
@@ -311,6 +310,39 @@ class TestSinkhornProperties:
         assert plan.achieved_marginal_error == recomputed
 
 
+def random_marginals(rng, n, m, masses):
+    """Uniform, random, or random with one zero entry per side where it can."""
+    if masses == "uniform":
+        return Marginals.uniform(n, m)
+    mu = rng.random(n) + 0.05
+    nu = rng.random(m) + 0.05
+    for vec in (mu, nu):
+        if masses == "zero-mass" and len(vec) > 1:
+            vec[rng.integers(len(vec))] = 0.0
+    return Marginals(mu / mu.sum(), nu / nu.sum())
+
+
+MASSES = st.sampled_from(["uniform", "random", "zero-mass"])
+
+
+@functools.lru_cache(maxsize=1)
+def newton_pool():
+    """300 problems at sharpness 30 that stop before, at and after the Newton pair.
+
+    Returns the costs, marginals, solver settings and each problem's pairs.
+    Scaled random costs stop from pair 18 on; most problems stop at pair 33
+    and some, whose first Newton step is refused, after 90 pairs or more.
+    """
+    rng = np.random.default_rng(0)
+    pool = rng.random((300, 6, 5)) * np.linspace(0.3, 1.0, 300)[:, None, None]
+    marg, config = Marginals.uniform(6, 5), SinkhornConfig(sharpness=30.0)
+    iterations = sinkhorn_stack(pool, marg, config).iterations_used
+    # Every caller gets these arrays; none may change them.
+    for x in (pool, iterations):
+        x.setflags(write=False)
+    return pool, marg, config, iterations
+
+
 class TestSinkhornStack:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -369,6 +401,53 @@ class TestSinkhornStack:
         assert (iterations == _NEWTON_AT + 1).any()
         assert ((iterations > _NEWTON_AT + 1) & (iterations < config.max_iter)).any()
         assert (iterations == config.max_iter).any()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        fast=st.integers(0, 6),
+        slow=st.integers(1, 4),
+        n=st.integers(1, 8),
+        m=st.integers(1, 8),
+        sharpness=st.sampled_from([0.6, 30.0, 50.0, 1500.0]),
+        tol=st.sampled_from([1e-6, 1e-9]),
+        max_iter=st.sampled_from([1, 2, 5, 7, 10, 15, 40, 100, 1000]),
+        masses=MASSES,
+    )
+    def test_stack_equals_sinkhorn_per_problem(
+        self, seed, fast, slow, n, m, sharpness, tol, max_iter, masses
+    ):
+        # A constant cost is balanced by one pair, so fast problems stop at
+        # pair 1 and leave the slow ones to run on alone or in twos, some
+        # of them to caps that fall inside a run.
+        rng = np.random.default_rng(seed)
+        costs = np.concatenate(
+            [np.full((fast, n, m), rng.random()), rng.random((slow, n, m))]
+        )
+        cost = costs[rng.permutation(len(costs))]
+        marg = random_marginals(rng, n, m, masses)
+        config = SinkhornConfig(sharpness=sharpness, tol=tol, max_iter=max_iter)
+        stack = sinkhorn_stack(cost, marg, config)
+        for b in range(len(cost)):
+            reference = _reference_sinkhorn(cost[b], marg, config)
+            assert_same_plan(stack_member(stack, b), reference)
+            assert_same_plan(sinkhorn(cost[b], marg, config), reference)
+
+    @pytest.mark.parametrize("third", [25, 30, None])
+    def test_last_problem_stops_around_the_newton_pair(self, third):
+        # Two problems that Newton steps finish at pair 33 and a third that
+        # stops at pair 25, inside the run that ends at 27; at pair 30,
+        # inside the run that ends at the Newton pair, so the other two take
+        # their steps without it; or runs on alone after a refused step.
+        pool, marg, config, iterations = newton_pool()
+        finished = np.flatnonzero(iterations == _NEWTON_AT + 1)[:2]
+        last = iterations > 60 if third is None else iterations == third
+        cost = pool[[*finished, np.flatnonzero(last)[0]]]
+        stack = sinkhorn_stack(cost, marg, config)
+        for b in range(len(cost)):
+            assert_same_plan(
+                stack_member(stack, b), _reference_sinkhorn(cost[b], marg, config)
+            )
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=80, deadline=None)
@@ -431,21 +510,6 @@ def _rounded_alg2(kernel, v, kv, kv_prev, marginals):
         + np.abs(plan.sum(axis=-2) - nu).sum(axis=-1)
     )
     return plan, achieved
-
-
-def random_marginals(rng, n, m, masses):
-    """Uniform, random, or random with one zero entry per side where it can."""
-    if masses == "uniform":
-        return Marginals.uniform(n, m)
-    mu = rng.random(n) + 0.05
-    nu = rng.random(m) + 0.05
-    for vec in (mu, nu):
-        if masses == "zero-mass" and len(vec) > 1:
-            vec[rng.integers(len(vec))] = 0.0
-    return Marginals(mu / mu.sum(), nu / nu.sum())
-
-
-MASSES = st.sampled_from(["uniform", "random", "zero-mass"])
 
 
 class TestSolveStack:
@@ -514,7 +578,8 @@ class TestRounding:
         states = []
         for k, c in zip(kernel, np.reshape(clamped, -1)):
             pairs = replace(config, max_iter=int(rng.integers(1, 6)))
-            v, kv, kv_prev, _, _ = _scaled(k, c, marg, pairs)
+            scaled = _scaling(k[None], c[None], marg, pairs)
+            v, kv, kv_prev = (x[0] for x in scaled[:3])
             if rng.random() < 0.3:
                 kv = kv_prev = 2.0 ** rng.integers(-3, 4, n)
             states.append((v, kv, kv_prev))
@@ -527,168 +592,6 @@ class TestRounding:
         oracle_plan, oracle_achieved = _rounded_alg2(kernel, v, kv, kv_prev, marg)
         assert plan.tobytes() == oracle_plan.tobytes()
         assert achieved.tobytes() == oracle_achieved.tobytes()
-
-
-def paused_kv(kernel, clamped, marginals, config, pause):
-    """The ``K v`` from which a lone solve paused after ``pause`` pairs resumes.
-
-    A solve paused at the Newton pair resumes after its Newton steps, as a
-    stack hands its problems over there, unless its kernel was clamped.
-    """
-    v, kv, kv_prev, err, done = _scaled(
-        kernel, clamped, marginals, replace(config, max_iter=pause)
-    )
-    assert done == pause and not err < config.tol
-    if pause == _NEWTON_AT and not clamped:
-        state = (x[None] for x in (kernel, v, kv, kv_prev, err))
-        kv = _newton(*state, marginals, config.tol)[0]
-    return kv
-
-
-@functools.lru_cache(maxsize=1)
-def newton_pool():
-    """300 problems at sharpness 30 that stop before, at and after the Newton pair.
-
-    Returns the costs, marginals, solver settings and each problem's pairs.
-    Scaled random costs stop from pair 18 on; most problems stop at pair 33
-    and some, whose first Newton step is refused, after 90 pairs or more.
-    """
-    rng = np.random.default_rng(0)
-    pool = rng.random((300, 6, 5)) * np.linspace(0.3, 1.0, 300)[:, None, None]
-    marg, config = Marginals.uniform(6, 5), SinkhornConfig(sharpness=30.0)
-    iterations = sinkhorn_stack(pool, marg, config).iterations_used
-    # Every caller gets these arrays; none may change them.
-    for x in (pool, iterations):
-        x.setflags(write=False)
-    return pool, marg, config, iterations
-
-
-class TestHandOff:
-    # A stack hands its last active problems to the 2-D loop, resumed from
-    # their K v and pair count; every problem must still equal its lone
-    # solve and the per-pair reference.
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        fast=st.integers(0, 6),
-        slow=st.integers(1, 4),
-        n=st.integers(1, 8),
-        m=st.integers(1, 8),
-        sharpness=st.sampled_from([0.6, 30.0, 50.0, 1500.0]),
-        tol=st.sampled_from([1e-6, 1e-9]),
-        max_iter=st.sampled_from([1, 2, 5, 7, 10, 15, 40, 100, 1000]),
-        masses=MASSES,
-    )
-    def test_stack_equals_sinkhorn_per_problem(
-        self, seed, fast, slow, n, m, sharpness, tol, max_iter, masses
-    ):
-        # A constant cost is balanced by one pair, so fast problems stop at
-        # pair 1 and leave the slow ones to run, some of them to the cap;
-        # the caps fall inside the 2-D loop's runs after a hand-off.
-        rng = np.random.default_rng(seed)
-        costs = np.concatenate(
-            [np.full((fast, n, m), rng.random()), rng.random((slow, n, m))]
-        )
-        cost = costs[rng.permutation(len(costs))]
-        marg = random_marginals(rng, n, m, masses)
-        config = SinkhornConfig(sharpness=sharpness, tol=tol, max_iter=max_iter)
-        stack = sinkhorn_stack(cost, marg, config)
-        for b in range(len(cost)):
-            reference = _reference_sinkhorn(cost[b], marg, config)
-            assert_same_plan(stack_member(stack, b), reference)
-            assert_same_plan(sinkhorn(cost[b], marg, config), reference)
-
-    def test_last_two_problems_resume_in_the_2d_loop(self, monkeypatch):
-        resumed_at = []
-
-        def spy(kernel, clamped, marginals, config, kv=None, done=0):
-            resumed_at.append(done)
-            return _scaled(kernel, clamped, marginals, config, kv, done)
-
-        monkeypatch.setattr(ot_module, "_scaled", spy)
-        rng = np.random.default_rng(0)
-        # Six flat problems stop at pair 1; two sharp ones run on.
-        cost = np.concatenate([np.full((6, 5, 4), 0.3), rng.random((2, 5, 4))])
-        marg = Marginals.uniform(5, 4)
-        config = SinkhornConfig(sharpness=30.0)
-        stack = sinkhorn_stack(cost, marg, config)
-        assert resumed_at == [1, 1]
-        assert (stack.iterations_used[6:] > 10).all()
-        for b in range(len(cost)):
-            assert_same_plan(
-                stack_member(stack, b), _reference_sinkhorn(cost[b], marg, config)
-            )
-        # A stack of two or fewer never enters the stack loop.
-        resumed_at.clear()
-        sinkhorn_stack(cost[6:], marg, config)
-        assert resumed_at == [0, 0]
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n=st.integers(1, 12),
-        m=st.integers(1, 12),
-        sharpness=st.sampled_from([30.0, 50.0, 1500.0]),
-        max_iter=st.sampled_from([7, 40, 1000]),
-        where=st.floats(0.0, 1.0, exclude_max=True),
-    )
-    def test_resumed_loop_equals_uninterrupted_solve(
-        self, seed, n, m, sharpness, max_iter, where
-    ):
-        rng = np.random.default_rng(seed)
-        marg = Marginals.uniform(n, m)
-        config = SinkhornConfig(sharpness=sharpness, max_iter=max_iter)
-        kernel, clamped = _kernel(rng.random((n, m)), marg, config)
-        whole = _scaled(kernel, clamped, marg, config)
-        assume(whole[4] > 1)
-        pause = 1 + int(where * (whole[4] - 1))
-        kv = paused_kv(kernel, clamped, marg, config, pause)
-        resumed = _scaled(kernel, clamped, marg, config, kv, pause)
-        for got, expected in zip(resumed, whole):
-            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
-
-    @pytest.mark.parametrize(
-        "kind, pause",
-        [("newton", 31), ("newton", 32), ("refused", 31), ("refused", 32), ("refused", 33)],
-    )
-    def test_2d_loop_resumes_around_the_newton_pair(self, kind, pause):
-        # A problem that its Newton steps finish at the pair after them, and
-        # one whose first step is refused, so that it scales on for dozens of
-        # pairs; each paused just before, at and after the Newton pair.
-        pool, marg, config, iterations = newton_pool()
-        target = iterations == _NEWTON_AT + 1 if kind == "newton" else iterations > 60
-        kernel, clamped = _kernel(pool[np.flatnonzero(target)[0]], marg, config)
-        assert not clamped
-        whole = _scaled(kernel, clamped, marg, config)
-        kv = paused_kv(kernel, clamped, marg, config, pause)
-        resumed = _scaled(kernel, clamped, marg, config, kv, pause)
-        for got, expected in zip(resumed, whole):
-            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
-
-    @pytest.mark.parametrize("third, handed_at", [(25, 27), (30, 32), (None, 33)])
-    def test_stack_hands_off_around_the_newton_pair(self, monkeypatch, third, handed_at):
-        # Two problems that Newton steps finish at pair 33 and a third that
-        # stops at pair 25 (hand-off at the run end 27, before the Newton
-        # pair), at pair 30 (hand-off at the Newton pair, after the stack's
-        # Newton steps), or runs on after a refused step (hand-off at 33).
-        resumed_at = []
-
-        def spy(kernel, clamped, marginals, config, kv=None, done=0):
-            resumed_at.append(done)
-            return _scaled(kernel, clamped, marginals, config, kv, done)
-
-        monkeypatch.setattr(ot_module, "_scaled", spy)
-        pool, marg, config, iterations = newton_pool()
-        finished = np.flatnonzero(iterations == _NEWTON_AT + 1)[:2]
-        last = iterations > 60 if third is None else iterations == third
-        cost = pool[[*finished, np.flatnonzero(last)[0]]]
-        stack = sinkhorn_stack(cost, marg, config)
-        assert resumed_at == [handed_at] * (1 if third is None else 2)
-        for b in range(len(cost)):
-            assert_same_plan(
-                stack_member(stack, b), _reference_sinkhorn(cost[b], marg, config)
-            )
 
 
 def plain_scaling(kernel, marginals, tol, max_iter):
@@ -724,7 +627,7 @@ class TestNewtonSteps:
         marg = Marginals.uniform(4, 4)
         config = SinkhornConfig(sharpness=30.0, max_iter=_NEWTON_AT)
         kernels, flags = _kernel(rng.random((4, 4, 4)), marg, config)
-        states = [_scaled(k, c, marg, config)[:3] for k, c in zip(kernels, flags)]
+        states = list(zip(*_scaling(kernels, flags, marg, config)[:3]))
         kernels = list(kernels)
         split = np.zeros((4, 4))
         split[:2, :2] = split[2:, 2:] = 0.125
@@ -732,11 +635,12 @@ class TestNewtonSteps:
         clamped_cost = np.repeat([[0.9], [0.9], [0.1], [0.1]], 4, axis=1)
         clamped_kernel, clamped = _kernel(clamped_cost, marg, SinkhornConfig(1500.0))
         assert clamped
-        for k, c in ((split, False), (joined, False), (clamped_kernel, clamped)):
-            # One pair balances these; rows 2 and 3 then get half their mass.
-            v, kv, _, _, _ = _scaled(k, c, marg, SinkhornConfig(max_iter=1))
-            states.append((v, kv, kv * [1.0, 1.0, 2.0, 2.0]))
-            kernels.append(k)
+        extra = np.array([split, joined, clamped_kernel])
+        flags = np.array([False, False, clamped])
+        # One pair balances these; rows 2 and 3 then get half their mass.
+        v, kv, _, _, _ = _scaling(extra, flags, marg, SinkhornConfig(max_iter=1))
+        states.extend(zip(v, kv, kv * [1.0, 1.0, 2.0, 2.0]))
+        kernels.extend(extra)
         errors = []
         for k, (v, kv, kv_prev) in zip(kernels, states):
             u = marg.mu / kv_prev
@@ -760,18 +664,18 @@ class TestNewtonSteps:
         # because their first step would raise the marginal error; scaling
         # pairs then resume from the last pair's own K v.
         pool, marg, config, iterations = newton_pool()
-        for b in np.flatnonzero(iterations > 60):
-            kernel, clamped = _kernel(pool[b], marg, config)
-            pairs = replace(config, max_iter=_NEWTON_AT)
-            v, kv, kv_prev, err, _ = _scaled(kernel, clamped, marg, pairs)
-            state = (x[None] for x in (kernel, v, kv, kv_prev, err))
-            assert _newton(*state, marg, config.tol)[0].tobytes() == kv.tobytes()
+        kernel, clamped = _kernel(pool[iterations > 60], marg, config)
+        assert len(kernel) and not clamped.any()
+        pairs = replace(config, max_iter=_NEWTON_AT)
+        v, kv, kv_prev, err, _ = _scaling(kernel, clamped, marg, pairs)
+        stepped = _newton(kernel, v, kv, kv_prev, err, marg, config.tol)
+        assert stepped.tobytes() == kv.tobytes()
 
     def test_clamped_kernels_take_no_steps(self):
         # Small costs give ordinary sharp problems at sharpness 700, which
         # Newton steps finish by pair 33; one entry of cost 1 clamps its
-        # kernel entry, and that problem scales on without them, in the
-        # stack loop and in the 2-D loop alike.
+        # kernel entry, and that problem scales on without them, in a stack
+        # and alone alike.
         rng = np.random.default_rng(0)
         cost = 0.02 * rng.random((6, 4, 4))
         far = cost.copy()
@@ -947,8 +851,29 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SinkhornConfig(max_iter=0)
 
+    @pytest.mark.parametrize("max_iter", [7.0, 40.5, True, "7"])
+    def test_max_iter_must_be_an_integer(self, max_iter):
+        # The loop stops at the pair that equals max_iter; 40.5 never does.
+        with pytest.raises(ConfigError):
+            SinkhornConfig(max_iter=max_iter)
+
+    def test_numpy_integer_max_iter_accepted(self):
+        cost = np.random.default_rng(0).random((3, 3))
+        config = SinkhornConfig(sharpness=30.0, max_iter=np.int64(7))
+        assert_same_plan(
+            sinkhorn(cost, Marginals.uniform(3, 3), config),
+            sinkhorn(cost, Marginals.uniform(3, 3), replace(config, max_iter=7)),
+        )
+
+    @pytest.mark.parametrize("sharpness", [np.inf, np.nan])
+    def test_finite_sharpness_required(self, sharpness):
+        with pytest.raises(ConfigError):
+            SinkhornConfig(sharpness=sharpness)
+
     @pytest.mark.parametrize(
-        "field", [{"sharpness": 0.0}, {"tol": 0.0}, {"max_iter": 0}]
+        "field",
+        [{"sharpness": 0.0}, {"tol": 0.0}, {"max_iter": 0}, {"sharpness": np.inf},
+         {"max_iter": 7.0}],
     )
     def test_run_config_rejects_bad_solver_field_at_construction(self, field):
         # Not at first use: a run config that exists can build its solver.
